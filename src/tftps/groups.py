@@ -15,6 +15,7 @@ small prime and its primitive roots) are supported alongside production
 from __future__ import annotations
 
 import contextlib
+import functools
 import random
 import threading
 from dataclasses import dataclass
@@ -91,13 +92,12 @@ def trace_operations():
 
 
 def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """Branch-balanced square-and-multiply: base**exponent mod modulus.
+    """base**exponent mod modulus, by the builtin ``pow``.
 
-    The multiply is executed on every bit and the result discarded on zero
-    bits, so for a fixed exponent bit-length the multiplication sequence
-    does not depend on the exponent's bit values.  Slower than the builtin
-    ``pow`` by design; the fixed-time machinery assumes the primitive's
-    cost is data-independent.
+    ``pow`` is not constant-time: CPython's big-int arithmetic takes time
+    that depends on the operand values.  The timing defence for secret
+    exponents is the padding that ``fixed_time.run_fixed`` puts around the
+    key unwrap, not this function.
     """
     if modulus < 2:
         raise ParameterError(f"modulus must be >= 2, got {modulus}")
@@ -106,13 +106,7 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     trace = getattr(_trace_local, "trace", None)
     if trace is not None:
         trace.append(("mod_exp", exponent.bit_length(), modulus.bit_length()))
-    result = 1 % modulus
-    acc = base % modulus
-    for i in range(exponent.bit_length()):
-        prod = (result * acc) % modulus
-        result = prod if (exponent >> i) & 1 else result
-        acc = (acc * acc) % modulus
-    return result
+    return pow(base, exponent, modulus)
 
 
 def element_order(g: int, p: int) -> int:
@@ -265,7 +259,16 @@ def gen_group_params(bit_length: int, rng: random.Random | None = None) -> Group
 
 
 def validate_group_params(params: GroupParams) -> list[str]:
-    """Return a list of violated invariants; empty means the params are sound."""
+    """Return a list of violated invariants; empty means the params are sound.
+
+    Memoised per params (the primality proofs dominate keygen); every call
+    returns a fresh list.
+    """
+    return list(_group_violations(params))
+
+
+@functools.lru_cache(maxsize=16)
+def _group_violations(params: GroupParams) -> tuple[str, ...]:
     violations = []
     if not is_probable_prime(params.p, rounds=64):
         violations.append(f"p={params.p} is not prime")
@@ -282,7 +285,7 @@ def validate_group_params(params: GroupParams) -> list[str]:
             violations.append(f"{name} is not in the order-q subgroup")
     if params.g1 == params.g2:
         violations.append("g1 == g2")
-    return violations
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

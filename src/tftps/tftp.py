@@ -17,7 +17,10 @@ policy refusals) terminate the session with ERROR 9.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import logging
+import os
 import random
 import threading
 import time
@@ -310,43 +313,64 @@ class _Session:
 
     # -- data sender ---------------------------------------------------------
 
-    def send_stream(self, payloads: list[bytes], first_block: int) -> None:
-        """Send payloads as DATA blocks first_block.. in lock-step."""
-        if first_block + len(payloads) - 1 > 0xFFFF:
-            self.abort(packets.ERR_NOT_DEFINED, "transfer exceeds the 16-bit block space")
-        sender = arq.new_sender(seq_bits=16, max_retries=self.max_retries, start_seq=first_block)
-        done = False
+    def send_stream(
+        self, data: bytes, keys: records.SessionKeys | None, key_payloads: list[bytes], rng
+    ) -> None:
+        """Send key_payloads, then data, as DATA blocks 1.. in lock-step.
 
-        def handle(actions, retransmit: bool) -> None:
-            nonlocal done
+        Under session keys each file chunk is sealed only after the block
+        before it has been sent, so DATA 1 leaves at once whatever the file
+        size, at most two sealed blocks are held, and nonces are drawn in
+        block order.
+        """
+        size = PLAINTEXT_PER_BLOCK if keys is not None else BLOCK_SIZE
+        # An exact multiple of the chunk size ends with an empty block.
+        blocks = len(key_payloads) + len(data) // size + 1
+        if blocks > 0xFFFF:
+            self.abort(packets.ERR_NOT_DEFINED, "transfer exceeds the 16-bit block space")
+        chunks = (data[i : i + size] for i in range(0, len(data) + 1, size))
+        if keys is not None:
+            chunks = (
+                records.record_to_bytes(records.seal_block(keys, seq, chunk, rng))
+                for seq, chunk in enumerate(chunks, 1 + len(key_payloads))
+            )
+        self.enter_phase(Phase.DATA_TRANSFER)
+        sender = arq.new_sender(seq_bits=16, max_retries=self.max_retries, start_seq=1)
+        payloads = itertools.chain(key_payloads, chunks)
+        event = arq.Send(next(payloads))
+        while event is not None:
+            sender, actions = arq.sender_step(sender, event)
             for action in actions:
                 if isinstance(action, arq.EmitFrame):
-                    if retransmit:
+                    if isinstance(event, arq.Timeout):
                         self.summary.retransmissions += 1
                     self.send_packet(DataPacket(block=action.frame.seq, data=action.frame.payload))
-                elif isinstance(action, arq.Done):
-                    done = True
                 elif isinstance(action, arq.Fail):
                     self.abort(None, f"transfer failed: {action.reason}", notify_peer=False)
+            if isinstance(event, arq.Send):
+                # Seal the next block while this one is in flight; sealing it
+                # between the ACK and its send would lengthen every round trip.
+                upcoming = next(payloads, None)
+            if arq.Done() in actions:
+                event = arq.Send(upcoming) if upcoming is not None else None
+            else:
+                block = self.recv_ack()
+                event = arq.Timeout() if block is TIMEOUT else arq.AckReceived(block)
+        self.summary.blocks = blocks
+        self.summary.bytes_transferred = len(data)
 
-        for payload in payloads:
-            sender, actions = arq.sender_step(sender, arq.Send(payload))
-            handle(actions, retransmit=False)
-
-        while not done:
+    def recv_ack(self):
+        """The peer's next ACK block number, or TIMEOUT; ERROR aborts, other packets are skipped."""
+        while True:
             reply = self.recv_packet()
             if reply is TIMEOUT:
-                sender, actions = arq.sender_step(sender, arq.Timeout())
-                handle(actions, retransmit=True)
-                continue
+                return TIMEOUT
             packet, _ = reply
             if isinstance(packet, AckPacket):
-                sender, actions = arq.sender_step(sender, arq.AckReceived(packet.block))
-                handle(actions, retransmit=False)
-            elif isinstance(packet, ErrorPacket):
+                return packet.block
+            if isinstance(packet, ErrorPacket):
                 self.summary.error_code = packet.code
                 self.abort(None, f"peer error {packet.code}: {packet.message}", notify_peer=False)
-            # stray DATA/OACK during the send phase is ignored
 
     # -- data receiver -------------------------------------------------------
 
@@ -464,22 +488,6 @@ class _Session:
                     pass
 
 
-def _split_for_transfer(data: bytes, chunk_size: int) -> list[bytes]:
-    """File payload chunks, plus the empty end-marker block for exact multiples."""
-    chunks = list(arq.chunk_payload(data, chunk_size).chunks)
-    if data and len(data) % chunk_size == 0:
-        chunks.append(b"")
-    return chunks
-
-
-def _seal_all(keys: records.SessionKeys, chunks: list[bytes], first_block: int, rng) -> list[bytes]:
-    sealed = []
-    for i, chunk in enumerate(chunks):
-        record = records.seal_block(keys, first_block + i, chunk, rng)
-        sealed.append(records.record_to_bytes(record))
-    return sealed
-
-
 # ---------------------------------------------------------------------------
 # Client.
 # ---------------------------------------------------------------------------
@@ -554,6 +562,7 @@ class TftpClient:
             options: tuple[tuple[str, str], ...] = ()
             key_payloads: list[bytes] = []
             material = b""
+            keys = None
             if security is not None:
                 entry = self.keystore.get(security.kid)
                 if entry is None:
@@ -581,20 +590,13 @@ class TftpClient:
                     session.abort(packets.ERR_OPTION_REFUSED, "server altered security options")
                 session.enter_phase(Phase.KEY_EXCHANGE)
                 keys = records.derive_session_keys(material)
-                chunks = _split_for_transfer(data, PLAINTEXT_PER_BLOCK)
-                payloads = key_payloads + _seal_all(keys, chunks, 1 + len(key_payloads), self.rng)
-                session.enter_phase(Phase.DATA_TRANSFER)
             else:
                 if not isinstance(reply, (AckPacket, OptionAck)):
                     session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
                 if isinstance(reply, AckPacket) and reply.block != 0:
                     session.abort(None, "unexpected initial ACK block", notify_peer=False)
-                payloads = _split_for_transfer(data, BLOCK_SIZE)
-                session.enter_phase(Phase.DATA_TRANSFER)
 
-            session.send_stream(payloads, first_block=1)
-            summary.blocks = len(payloads)
-            summary.bytes_transferred = len(data)
+            session.send_stream(data, keys, key_payloads, self.rng)
             session.enter_phase(Phase.DONE)
             summary.status = Phase.DONE
         except _SessionAborted as abort:
@@ -797,6 +799,7 @@ class TftpServer:
                 self.endpoint.send(encode_packet(ErrorPacket(packets.ERR_ILLEGAL_OPERATION, str(exc))), src)
                 continue
             if isinstance(packet, (ReadRequest, WriteRequest)):
+                self._threads = [thread for thread in self._threads if thread.is_alive()]
                 thread = threading.Thread(
                     target=self._run_session, args=(packet, src, stop), daemon=True
                 )
@@ -916,10 +919,16 @@ class TftpServer:
             return key_exchange_receive(chunks, entry.secret, entry.params, budget)
 
         def store(data: bytes) -> None:
+            # Write beside the target, then rename over it: a failed write
+            # leaves the served file whole, and a get never reads half a file.
+            temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.part")
             try:
                 target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(data)
+                temp.write_bytes(data)
+                os.replace(temp, target)
             except OSError as exc:
+                with contextlib.suppress(OSError):
+                    temp.unlink()
                 session.abort(packets.ERR_DISK_FULL, f"cannot store file: {exc}")
 
         data = session.recv_stream(
@@ -938,6 +947,8 @@ class TftpServer:
         sec = self._negotiate(session, request)
         data = source.read_bytes()
 
+        keys = None
+        key_payloads: list[bytes] = []
         if sec is not None:
             entry = self.keystore.get(sec.kid)
             if entry is None:
@@ -951,32 +962,16 @@ class TftpServer:
                 options=SecurityOptions(scheme=sec.scheme, keyblocks=len(key_payloads), kid=sec.kid).to_options()
             )
             self._await_ack0(session, encode_packet(oack))
-            chunks = _split_for_transfer(data, PLAINTEXT_PER_BLOCK)
-            payloads = key_payloads + _seal_all(keys, chunks, 1 + len(key_payloads), self.rng)
-            session.enter_phase(Phase.DATA_TRANSFER)
-        else:
-            payloads = _split_for_transfer(data, BLOCK_SIZE)
-            session.enter_phase(Phase.DATA_TRANSFER)
 
-        session.send_stream(payloads, first_block=1)
-        summary.blocks = len(payloads)
-        summary.bytes_transferred = len(data)
+        session.send_stream(data, keys, key_payloads, self.rng)
 
     def _await_ack0(self, session: _Session, oack_wire: bytes) -> None:
         retries = 0
         session.endpoint.send(oack_wire, session.peer)
-        while True:
-            reply = session.recv_packet()
-            if reply is TIMEOUT:
+        while (block := session.recv_ack()) != 0:
+            if block is TIMEOUT:
                 retries += 1
                 if retries > session.max_retries:
                     session.abort(None, "client never acknowledged options", notify_peer=False)
                 session.endpoint.send(oack_wire, session.peer)
                 session.summary.retransmissions += 1
-                continue
-            packet, _ = reply
-            if isinstance(packet, AckPacket) and packet.block == 0:
-                return
-            if isinstance(packet, ErrorPacket):
-                session.summary.error_code = packet.code
-                session.abort(None, f"peer error {packet.code}: {packet.message}", notify_peer=False)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tftps import cramer_shoup, groups
 from tftps.groups import (
     DESK_PARAMS,
     GroupParams,
@@ -183,6 +184,30 @@ class TestValidateGroupParams:
     def test_equal_generators_flagged(self):
         violations = validate_group_params(GroupParams(p=23, q=11, g1=4, g2=4))
         assert "g1 == g2" in violations
+
+    def test_keygen_proves_each_group_once(self, monkeypatch):
+        params = gen_group_params(1024, random.Random(0x0C0FFEE))
+        proofs = []
+        real_is_probable_prime = groups.is_probable_prime
+
+        def counting_is_probable_prime(n, *args, **kwargs):
+            proofs.append(n)
+            return real_is_probable_prime(n, *args, **kwargs)
+
+        monkeypatch.setattr(groups, "is_probable_prime", counting_is_probable_prime)
+        cramer_shoup.keygen(params, random.Random(1))
+        assert sorted(proofs) == sorted([params.p, params.q])
+        proofs.clear()
+        cramer_shoup.keygen(params, random.Random(2))
+        assert proofs == []
+
+    def test_caller_cannot_change_the_remembered_verdict(self):
+        params = GroupParams(p=23, q=11, g1=1, g2=9)
+        first = validate_group_params(params)
+        expected = list(first)
+        first.clear()
+        first.append("tampered")
+        assert validate_group_params(params) == expected
 
 
 class TestSubgroupProperties:

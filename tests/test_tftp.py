@@ -1,15 +1,19 @@
+import errno
 import hashlib
+import os
 import random
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from tftps import cramer_shoup
+from tftps import cramer_shoup, records
 from tftps.cramer_shoup import keygen
 from tftps.groups import ParameterError
 from tftps.packets import (
+    ERR_DISK_FULL,
     ERR_NOT_DEFINED,
     ERR_SECURITY,
     ERR_UNKNOWN_TID,
@@ -403,6 +407,87 @@ class TestFailureModes:
             assert "DATA_TRANSFER" not in log.phases or log.phases.index("KEY_EXCHANGE") < log.phases.index(
                 "DATA_TRANSFER"
             )
+
+    def test_failed_store_keeps_old_file_and_leaves_no_temp(self, tmp_path, keystore, monkeypatch):
+        store, _ = keystore
+        (tmp_path / "fw.bin").write_bytes(b"old firmware")
+        real_write_bytes = Path.write_bytes
+
+        def disk_fills_midway(path, data):
+            real_write_bytes(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            monkeypatch.setattr(Path, "write_bytes", disk_fills_midway)
+            client = TftpClient(net, store, rng=random.Random(36), timeout=0.1, decrypt_budget=None)
+            summary = client.put(random.Random(37).randbytes(2000), server.address, "fw.bin", None)
+        assert not summary.ok and summary.error_code == ERR_DISK_FULL
+        assert (tmp_path / "fw.bin").read_bytes() == b"old firmware"
+        assert [child.name for child in tmp_path.iterdir()] == ["fw.bin"]
+
+
+class TestResourceBounds:
+    def test_each_block_sealed_only_when_sent(self, keystore, monkeypatch):
+        store, entry = keystore
+        sealed = []
+        real_seal_block = records.seal_block
+
+        def counting_seal_block(keys, seq, plaintext, rng=None):
+            sealed.append(seq)
+            return real_seal_block(keys, seq, plaintext, rng)
+
+        monkeypatch.setattr(records, "seal_block", counting_seal_block)
+
+        class ScriptedEndpoint:
+            """Acknowledges every DATA block at once, noting what was sealed by then."""
+
+            def __init__(self):
+                self.replies = []
+                self.sent_blocks = []
+                self.address = 100
+
+            def send(self, data, dst):
+                packet = decode_packet(data)
+                if isinstance(packet, WriteRequest):
+                    self.replies.append((encode_packet(OptionAck(packet.options)), 200))
+                elif isinstance(packet, DataPacket):
+                    self.sent_blocks.append((packet.block, list(sealed)))
+                    self.replies.append((encode_packet(AckPacket(packet.block)), 200))
+
+            def recv(self, timeout):
+                return self.replies.pop(0) if self.replies else TIMEOUT
+
+            def close(self):
+                pass
+
+        class ScriptedNetwork:
+            def __init__(self):
+                self.ep = ScriptedEndpoint()
+
+            def endpoint(self, port=None):
+                return self.ep
+
+        net = ScriptedNetwork()
+        client = TftpClient(net, store, rng=random.Random(39), timeout=0.05, decrypt_budget=None)
+        data = random.Random(40).randbytes(3 * PLAINTEXT_PER_BLOCK + 7)
+        summary = client.put(data, 1, "lazy.bin", SecurityOptions(kid=entry.kid))
+        assert summary.ok
+        first_sealed = summary.blocks - 3
+        assert sealed == list(range(first_sealed, summary.blocks + 1))
+        for block, sealed_by_then in net.ep.sent_blocks:
+            assert all(seq <= block for seq in sealed_by_then)
+        assert [block for block, _ in net.ep.sent_blocks] == list(range(1, summary.blocks + 1))
+
+    def test_finished_session_threads_are_dropped(self, tmp_path, keystore):
+        store, _ = keystore
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            client = TftpClient(net, store, rng=random.Random(41), timeout=0.1, decrypt_budget=None)
+            for i in range(20):
+                assert client.put(b"x" * 100, server.address, f"f{i}.bin", None).ok
+                assert wait_for(lambda: len(server.session_logs) == i + 1)
+            assert len(server._threads) <= 2
 
 
 class TestLegacyInterop:
