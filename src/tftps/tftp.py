@@ -13,6 +13,14 @@ that fails MAC verification is treated exactly like a corrupted frame:
 dropped without acknowledgement, healed by retransmission.  Security
 failures that cannot be healed (a tampered or misdirected key exchange,
 policy refusals) terminate the session with ERROR 9.
+
+Client put and get and server read and write all run on one _Session.
+Its run() brackets the session: phases from NEGOTIATE to DONE, or to
+FAILED with the abort's code and message, then the endpoint is closed.
+Its wait() is the one receive loop: the awaited packet gets one timeout,
+and other packets are answered but do not restart the timer.  exchange()
+resends a request, OACK or ACK 0 on each timeout and gives up after
+max_retries; DATA blocks are retransmitted by the arq sender.
 """
 
 from __future__ import annotations
@@ -246,17 +254,48 @@ class _SessionAborted(Exception):
         self.message = message
 
 
-class _Session:
-    """Shared plumbing for one lock-step exchange on one endpoint."""
+def _ack(block: int):
+    """A wait handler that awaits ACK block."""
+    return lambda packet: packet if isinstance(packet, AckPacket) and packet.block == block else None
 
-    def __init__(self, endpoint, peer, *, timeout: float, max_retries: int, summary: TransferSummary, stop=None):
-        self.endpoint = endpoint
+
+class _Session:
+    """One lock-step exchange on its own endpoint, for client and server alike."""
+
+    def __init__(self, node: "_Node", peer, summary: TransferSummary, stop=None):
+        self.endpoint = node.network.endpoint()
         self.peer = peer
-        self.timeout = timeout
-        self.max_retries = max_retries
+        self.timeout = node.timeout
+        self.max_retries = node.max_retries
         self.summary = summary
         self.stop = stop
-        self.prompt: bytes | None = None
+        self.last_ack: bytes | None = None
+
+    @contextlib.contextmanager
+    def run(self):
+        """Run the with-body as this session.
+
+        The phases start at NEGOTIATE and end at DONE when the body returns,
+        or at FAILED when it aborts, whose code and message the summary
+        keeps.  Either way the endpoint is closed and elapsed_s is set.
+        """
+        summary = self.summary
+        started = time.monotonic()
+        try:
+            self.enter_phase(Phase.NEGOTIATE)
+            yield
+            self.enter_phase(Phase.DONE)
+            summary.status = Phase.DONE
+        except _SessionAborted as abort:
+            summary.status = Phase.FAILED
+            if not summary.error_message:
+                summary.error_message = abort.message
+            if abort.code is not None and summary.error_code is None:
+                summary.error_code = abort.code
+            summary.phases.append(Phase.FAILED)
+        finally:
+            self.endpoint.close()
+            summary.elapsed_s = time.monotonic() - started
 
     def enter_phase(self, phase: str) -> None:
         phases = self.summary.phases
@@ -281,11 +320,17 @@ class _Session:
         if self.stop is not None and self.stop.is_set():
             self.abort(packets.ERR_NOT_DEFINED, "server shutting down")
 
-    def recv_packet(self):
-        """One datagram from the locked peer: (packet, src) or TIMEOUT.
+    def wait(self, handle):
+        """Wait up to one timeout for the packet this step of the session awaits.
 
-        Wrong-TID datagrams get ERROR 5 and are skipped; undecodable
-        datagrams are treated as channel noise and skipped.
+        handle(packet) returns something other than None for the awaited
+        packet; wait returns that, and the packet's source becomes the
+        locked TID.  Other packets are left to handle (a duplicate DATA is
+        re-acknowledged there) but keep the deadline where it was, so a peer
+        that repeats itself cannot hold the session open.  ERROR from the
+        peer aborts.  Wrong-TID datagrams get ERROR 5 and are skipped;
+        undecodable datagrams are treated as channel noise and skipped.
+        Returns TIMEOUT once the deadline passes.
         """
         deadline = time.monotonic() + self.timeout
         while True:
@@ -299,17 +344,45 @@ class _Session:
             data, src = result
             if self.peer is not None and src != self.peer:
                 try:
-                    self.endpoint.send(
-                        encode_packet(ErrorPacket(packets.ERR_UNKNOWN_TID, "unknown transfer id")), src
-                    )
+                    self.send_packet(ErrorPacket(packets.ERR_UNKNOWN_TID, "unknown transfer id"), src)
                 except Exception:
                     pass
                 continue
             try:
                 packet = decode_packet(data)
             except packets.MalformedPacketError:
-                continue  # bit errors on the wire; the ARQ layer recovers
-            return packet, src
+                continue  # bit errors on the wire; the retransmission timer recovers
+            awaited = handle(packet)
+            if awaited is not None:
+                self.peer = src
+                return awaited
+            if isinstance(packet, ErrorPacket):
+                self.summary.error_code = packet.code
+                self.abort(None, f"peer error {packet.code}: {packet.message}", notify_peer=False)
+
+    def exchange(self, wire: bytes | None, handle, give_up: str, dst=None):
+        """Send wire, then wait for what handle awaits, resending wire on every timeout.
+
+        Without a wire, only waits.  Aborts with give_up once max_retries
+        timeouts in a row have passed.
+        """
+        for attempt in range(self.max_retries + 1):
+            if wire is not None:
+                if attempt:
+                    self.summary.retransmissions += 1
+                self.endpoint.send(wire, dst if dst is not None else self.peer)
+            awaited = self.wait(handle)
+            if awaited is not TIMEOUT:
+                return awaited
+        self.abort(None, give_up, notify_peer=False)
+
+    def request(self, wire: bytes, server):
+        """Send a request to the server until it replies; the reply locks the TID, an ERROR ends the session."""
+        reply = self.exchange(wire, lambda packet: packet, "no response from server", dst=server)
+        if isinstance(reply, ErrorPacket):
+            self.summary.error_code, self.summary.error_message = reply.code, reply.message
+            self.abort(None, f"server refused: {reply.message}", notify_peer=False)
+        return reply
 
     # -- data sender ---------------------------------------------------------
 
@@ -354,122 +427,95 @@ class _Session:
             if arq.Done() in actions:
                 event = arq.Send(upcoming) if upcoming is not None else None
             else:
-                block = self.recv_ack()
-                event = arq.Timeout() if block is TIMEOUT else arq.AckReceived(block)
+                ack = self.wait(_ack(sender.seq))
+                event = arq.Timeout() if ack is TIMEOUT else arq.AckReceived(ack.block)
         self.summary.blocks = blocks
         self.summary.bytes_transferred = len(data)
-
-    def recv_ack(self):
-        """The peer's next ACK block number, or TIMEOUT; ERROR aborts, other packets are skipped."""
-        while True:
-            reply = self.recv_packet()
-            if reply is TIMEOUT:
-                return TIMEOUT
-            packet, _ = reply
-            if isinstance(packet, AckPacket):
-                return packet.block
-            if isinstance(packet, ErrorPacket):
-                self.summary.error_code = packet.code
-                self.abort(None, f"peer error {packet.code}: {packet.message}", notify_peer=False)
 
     # -- data receiver -------------------------------------------------------
 
     def recv_stream(
         self,
-        first_block: int,
-        keyblocks: int,
-        on_key_chunks,
-        block_size: int = BLOCK_SIZE,
+        prompt: bytes | None,
+        keyblocks: int = 0,
+        entry: KeyEntry | None = None,
+        budget: fixed_time.TimeBudget | None = None,
+        first: DataPacket | None = None,
         on_final=None,
     ) -> bytes:
-        """Receive key chunks (blocks first_block..first_block+keyblocks-1),
-        then sealed or raw data blocks until a short block ends the transfer.
+        """Receive DATA blocks 1.. in lock-step until a short block ends the transfer.
 
-        on_key_chunks(chunks) -> SessionKeys | SECURITY_FAILURE | None is
-        called once all key blocks are in; None means a legacy transfer.
+        prompt (the OACK or ACK 0 that starts the stream) is resent on each
+        timeout until block 1 arrives; first is a DATA 1 that came in as the
+        reply to the request.  With keyblocks, blocks 1..keyblocks carry the
+        key exchange, unwrapped with entry's secret key under budget, and
+        every later block is a sealed record; without, blocks are raw data.
         on_final(data) runs before the final block is acknowledged, so a
         sender that sees the last ACK knows the payload was persisted.
         """
-        receiver = arq.new_receiver(seq_bits=16, start_seq=first_block)
+        receiver = arq.new_receiver(seq_bits=16, start_seq=1)
         keys: records.SessionKeys | None = None
         key_chunks: list[bytes] = []
         out = bytearray()
-        quiet = 0
-        finished = False
+        if not keyblocks:
+            self.enter_phase(Phase.DATA_TRANSFER)
 
-        if keyblocks == 0:
-            maybe_keys = on_key_chunks([])
-            if maybe_keys is not None:
-                keys = maybe_keys
-                self.enter_phase(Phase.DATA_TRANSFER)
-
-        while not finished:
-            reply = self.recv_packet()
-            if reply is TIMEOUT:
-                quiet += 1
-                if quiet > self.max_retries:
-                    self.abort(None, "peer silent, retries exhausted", notify_peer=False)
-                # Nudge with the OACK/initial ACK until the stream starts; once
-                # DATA flows, recovery is the sender's timer alone.  Re-sending
-                # stale data ACKs is dangerous: a bit error can turn ACK(n-1)
-                # into the awaited ACK(n) and desynchronize the lock-step.
-                if self.prompt is not None and receiver.last_acked is None:
-                    self.endpoint.send(self.prompt, self.peer)
-                    self.summary.retransmissions += 1
-                continue
-            packet, _ = reply
-            quiet = 0
-            if isinstance(packet, ErrorPacket):
-                self.summary.error_code = packet.code
-                self.abort(None, f"peer error {packet.code}: {packet.message}", notify_peer=False)
+        def take(packet):
+            """Feed a DATA packet to the receiver: True for a new final block, False for another new block."""
+            nonlocal receiver, keys
             if not isinstance(packet, DataPacket):
-                continue
-
+                return None
             payload = packet.data
             if keys is not None and packet.block == receiver.expected_seq:
                 try:
                     record = records.record_from_bytes(packet.data)
                 except ParameterError:
-                    continue  # truncated record: treat as corruption
+                    return None  # truncated record: treat as corruption
                 self.summary.mac_checks += 1
-                opened = records.open_block(keys, packet.block, record)
-                if opened is records.MAC_FAILURE:
+                payload = records.open_block(keys, packet.block, record)
+                if payload is records.MAC_FAILURE:
                     self.summary.mac_failures += 1
-                    continue  # no ACK; the sender retransmits
-                payload = opened
+                    return None  # no ACK; the sender retransmits
 
-            frame = arq.make_data_frame(packet.block, payload)
-            receiver, actions = arq.receiver_step(receiver, frame)
+            receiver, actions = arq.receiver_step(receiver, arq.make_data_frame(packet.block, payload))
             delivered = False
-            pending_ack: bytes | None = None
+            ack: bytes | None = None
             for action in actions:
                 if isinstance(action, arq.Deliver):
                     delivered = True
-                    if keys is None and keyblocks and len(key_chunks) < keyblocks:
+                    if len(key_chunks) < keyblocks:
                         key_chunks.append(action.payload)
                         if len(key_chunks) == keyblocks:
                             started = time.monotonic()
-                            maybe_keys = on_key_chunks(key_chunks)
+                            keys = key_exchange_receive(key_chunks, entry.secret, entry.params, budget)
                             self.summary.key_exchange_s = time.monotonic() - started
-                            if maybe_keys is SECURITY_FAILURE:
-                                self.summary.error_code = packets.ERR_SECURITY
+                            if keys is SECURITY_FAILURE:
                                 self.abort(packets.ERR_SECURITY, "key exchange failed")
-                            keys = maybe_keys
                             self.enter_phase(Phase.DATA_TRANSFER)
                     else:
-                        out += action.payload
+                        out.extend(action.payload)
                         self.summary.blocks += 1
                         self.summary.blocks_accepted += 1
                 elif isinstance(action, arq.EmitFrame):
-                    pending_ack = encode_packet(AckPacket(block=action.frame.seq))
-            if delivered and packet.block >= first_block + keyblocks and len(packet.data) < block_size:
-                finished = True
-                if on_final is not None:
-                    on_final(bytes(out))  # persist before the final ACK
-            if pending_ack is not None:
-                self.endpoint.send(pending_ack, self.peer)
-                self.prompt = pending_ack
+                    ack = encode_packet(AckPacket(block=action.frame.seq))
+            final = delivered and packet.block > keyblocks and len(packet.data) < BLOCK_SIZE
+            if final and on_final is not None:
+                on_final(bytes(out))  # persist before the final ACK
+            if ack is not None:
+                self.endpoint.send(ack, self.peer)
+                self.last_ack = ack
+            return final if delivered else None
 
+        # Nudge with the prompt until the stream starts; once DATA flows,
+        # recovery is the sender's timer alone.  Re-sending stale data ACKs
+        # is dangerous: a bit error can turn ACK(n-1) into the awaited ACK(n)
+        # and desynchronize the lock-step.
+        finished = take(first) if first is not None else False
+        while not finished:
+            nudge = prompt if receiver.last_acked is None else None
+            finished = self.exchange(nudge, take, "peer silent, retries exhausted")
+        self.summary.bytes_transferred = len(out)
+        self.dally()
         return bytes(out)
 
     def dally(self) -> None:
@@ -480,19 +526,45 @@ class _Session:
             if result is TIMEOUT:
                 return
             data, src = result
-            if src == self.peer and self.prompt is not None:
+            if src == self.peer and self.last_ack is not None:
                 try:
                     if isinstance(decode_packet(data), DataPacket):
-                        self.endpoint.send(self.prompt, self.peer)
+                        self.endpoint.send(self.last_ack, self.peer)
                 except packets.MalformedPacketError:
                     pass
+
+
+class _Node:
+    """What client and server share: network, keys, retransmission settings
+    and a decrypt budget per key, calibrated on first use."""
+
+    def __init__(self, network, keystore, rng, timeout, max_retries, decrypt_budget):
+        self.network = network
+        self.keystore = keystore or KeyStore()
+        self.rng = rng or _DEFAULT_RNG
+        self.timeout = timeout
+        self.max_retries = max_retries
+        self.decrypt_budget = decrypt_budget
+        self._budget_cache: dict[str, fixed_time.TimeBudget] = {}
+        self._budget_lock = threading.Lock()
+
+    def _budget_for(self, entry: KeyEntry) -> fixed_time.TimeBudget | None:
+        if self.decrypt_budget is None:
+            return None
+        if isinstance(self.decrypt_budget, fixed_time.TimeBudget):
+            return self.decrypt_budget
+        with self._budget_lock:
+            if entry.kid not in self._budget_cache:
+                log.info("calibrating fixed-time decrypt budget for key %s", entry.kid)
+                self._budget_cache[entry.kid] = calibrate_decrypt_budget(entry)
+            return self._budget_cache[entry.kid]
 
 
 # ---------------------------------------------------------------------------
 # Client.
 # ---------------------------------------------------------------------------
 
-class TftpClient:
+class TftpClient(_Node):
     """Blocking TFTP client over a real or simulated datagram network."""
 
     def __init__(
@@ -505,43 +577,7 @@ class TftpClient:
         max_retries: int = arq.DEFAULT_MAX_RETRIES,
         decrypt_budget: fixed_time.TimeBudget | str | None = "auto",
     ):
-        self.network = network
-        self.keystore = keystore or KeyStore()
-        self.rng = rng or _DEFAULT_RNG
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.decrypt_budget = decrypt_budget
-        self._budget_cache: dict[str, fixed_time.TimeBudget] = {}
-
-    def _budget_for(self, entry: KeyEntry) -> fixed_time.TimeBudget | None:
-        if self.decrypt_budget is None:
-            return None
-        if isinstance(self.decrypt_budget, fixed_time.TimeBudget):
-            return self.decrypt_budget
-        if entry.kid not in self._budget_cache:
-            self._budget_cache[entry.kid] = calibrate_decrypt_budget(entry)
-        return self._budget_cache[entry.kid]
-
-    def _request_reply(self, session: _Session, request_wire: bytes, server):
-        """Send the request until the first session reply arrives; locks the TID."""
-        retries = 0
-        session.endpoint.send(request_wire, server)
-        while True:
-            result = session.endpoint.recv(session.timeout)
-            if result is TIMEOUT:
-                retries += 1
-                if retries > session.max_retries:
-                    session.abort(None, "no response from server", notify_peer=False)
-                session.endpoint.send(request_wire, server)
-                session.summary.retransmissions += 1
-                continue
-            data, src = result
-            try:
-                packet = decode_packet(data)
-            except packets.MalformedPacketError:
-                continue
-            session.peer = src
-            return packet
+        super().__init__(network, keystore, rng, timeout, max_retries, decrypt_budget)
 
     def put(
         self,
@@ -552,16 +588,10 @@ class TftpClient:
     ) -> TransferSummary:
         """Upload bytes; returns a summary whose status is DONE or FAILED."""
         summary = TransferSummary(security=security is not None)
-        started = time.monotonic()
-        endpoint = self.network.endpoint()
-        session = _Session(
-            endpoint, None, timeout=self.timeout, max_retries=self.max_retries, summary=summary
-        )
-        try:
-            session.enter_phase(Phase.NEGOTIATE)
+        session = _Session(self, None, summary)
+        with session.run():
             options: tuple[tuple[str, str], ...] = ()
             key_payloads: list[bytes] = []
-            material = b""
             keys = None
             if security is not None:
                 entry = self.keystore.get(security.kid)
@@ -573,11 +603,8 @@ class TftpClient:
                 options = replace(security, keyblocks=len(key_payloads)).to_options()
 
             request = WriteRequest(filename=remote_name, mode="octet", options=options)
-            reply = self._request_reply(session, encode_packet(request), server)
+            reply = session.request(encode_packet(request), server)
 
-            if isinstance(reply, ErrorPacket):
-                summary.error_code, summary.error_message = reply.code, reply.message
-                session.abort(None, f"server refused: {reply.message}", notify_peer=False)
             if security is not None:
                 if not isinstance(reply, OptionAck):
                     session.abort(packets.ERR_OPTION_REFUSED, "server did not acknowledge security options")
@@ -597,19 +624,6 @@ class TftpClient:
                     session.abort(None, "unexpected initial ACK block", notify_peer=False)
 
             session.send_stream(data, keys, key_payloads, self.rng)
-            session.enter_phase(Phase.DONE)
-            summary.status = Phase.DONE
-        except _SessionAborted as abort:
-            summary.status = Phase.FAILED
-            if not summary.error_message:
-                summary.error_message = abort.message
-            if abort.code is not None and summary.error_code is None:
-                summary.error_code = abort.code
-            if summary.phases and summary.phases[-1] != Phase.FAILED:
-                summary.phases.append(Phase.FAILED)
-        finally:
-            endpoint.close()
-            summary.elapsed_s = time.monotonic() - started
         return summary
 
     def get(
@@ -620,16 +634,11 @@ class TftpClient:
     ) -> tuple[bytes | None, TransferSummary]:
         """Download a file; returns (bytes or None, summary)."""
         summary = TransferSummary(security=security is not None)
-        started = time.monotonic()
-        endpoint = self.network.endpoint()
-        session = _Session(
-            endpoint, None, timeout=self.timeout, max_retries=self.max_retries, summary=summary
-        )
+        session = _Session(self, None, summary)
         payload: bytes | None = None
-        entry: KeyEntry | None = None
-        try:
-            session.enter_phase(Phase.NEGOTIATE)
+        with session.run():
             options: tuple[tuple[str, str], ...] = ()
+            entry: KeyEntry | None = None
             budget = None
             if security is not None:
                 entry = self.keystore.get(security.kid)
@@ -639,77 +648,30 @@ class TftpClient:
                 options = SecurityOptions(scheme=security.scheme, kid=security.kid).to_options()
 
             request = ReadRequest(filename=remote_name, mode="octet", options=options)
-            request_wire = encode_packet(request)
-            reply = self._request_reply(session, request_wire, server)
+            reply = session.request(encode_packet(request), server)
 
             keyblocks = 0
-            first_packet: DataPacket | None = None
-            if isinstance(reply, ErrorPacket):
-                summary.error_code, summary.error_message = reply.code, reply.message
-                session.abort(None, f"server refused: {reply.message}", notify_peer=False)
-            elif isinstance(reply, OptionAck):
+            prompt = first = None
+            if isinstance(reply, OptionAck):
                 echoed = packets.security_from_options(reply.options)
                 if security is None:
                     session.abort(packets.ERR_OPTION_REFUSED, "unsolicited security options")
                 if echoed is None or echoed.scheme != security.scheme or not echoed.keyblocks:
                     session.abort(packets.ERR_OPTION_REFUSED, "server altered security options")
                 keyblocks = echoed.keyblocks
-                ack0 = encode_packet(AckPacket(block=0))
-                session.endpoint.send(ack0, session.peer)
-                session.prompt = ack0
+                prompt = encode_packet(AckPacket(block=0))
                 session.enter_phase(Phase.KEY_EXCHANGE)
             elif isinstance(reply, DataPacket):
                 if security is not None:
                     session.abort(packets.ERR_OPTION_REFUSED, "server ignored security options")
-                first_packet = reply
+                if reply.block != 1:
+                    session.abort(None, "legacy transfer did not start at block 1", notify_peer=False)
+                first = reply  # a legacy transfer already in flight
             else:
                 session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
 
-            def on_key_chunks(chunks):
-                if security is None:
-                    return None
-                assert entry is not None
-                return key_exchange_receive(chunks, entry.secret, entry.params, budget)
-
-            if first_packet is not None:
-                # Legacy transfer already in flight: replay the first DATA
-                # packet into the endpoint path by handling it inline.
-                payload = self._recv_with_first(session, first_packet, on_key_chunks)
-            else:
-                payload = session.recv_stream(first_block=1, keyblocks=keyblocks, on_key_chunks=on_key_chunks)
-                session.dally()
-            summary.bytes_transferred = len(payload)
-            session.enter_phase(Phase.DONE)
-            summary.status = Phase.DONE
-        except _SessionAborted as abort:
-            summary.status = Phase.FAILED
-            if not summary.error_message:
-                summary.error_message = abort.message
-            if abort.code is not None and summary.error_code is None:
-                summary.error_code = abort.code
-            if summary.phases and summary.phases[-1] != Phase.FAILED:
-                summary.phases.append(Phase.FAILED)
-            payload = None
-        finally:
-            endpoint.close()
-            summary.elapsed_s = time.monotonic() - started
+            payload = session.recv_stream(prompt, keyblocks, entry, budget, first=first)
         return payload, summary
-
-    def _recv_with_first(self, session: _Session, first: DataPacket, on_key_chunks) -> bytes:
-        if first.block != 1:
-            session.abort(None, "legacy transfer did not start at block 1", notify_peer=False)
-        ack = encode_packet(AckPacket(block=1))
-        session.endpoint.send(ack, session.peer)
-        session.prompt = ack
-        session.enter_phase(Phase.DATA_TRANSFER)
-        session.summary.blocks += 1
-        session.summary.blocks_accepted += 1
-        if len(first.data) < BLOCK_SIZE:
-            session.dally()
-            return first.data
-        receiver_tail = session.recv_stream(first_block=2, keyblocks=0, on_key_chunks=lambda _: None)
-        session.dally()
-        return first.data + receiver_tail
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +687,7 @@ class SessionLog:
     summary: TransferSummary
 
 
-class TftpServer:
+class TftpServer(_Node):
     """Serves read and write requests, one session thread per transfer."""
 
     def __init__(
@@ -740,40 +702,19 @@ class TftpServer:
         timeout: float = arq.DEFAULT_TIMEOUT,
         max_retries: int = arq.DEFAULT_MAX_RETRIES,
         decrypt_budget: fixed_time.TimeBudget | str | None = "auto",
-        calibration_samples: int = 30,
     ):
-        self.network = network
+        super().__init__(network, keystore, rng, timeout, max_retries, decrypt_budget)
         self.root = Path(root)
-        self.keystore = keystore or KeyStore()
         self.policy = policy or TransferPolicy()
-        self.rng = rng or _DEFAULT_RNG
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.decrypt_budget = decrypt_budget
-        self.calibration_samples = calibration_samples
         self.endpoint = network.endpoint(port) if port is not None else network.endpoint()
         self.session_logs: list[SessionLog] = []
         self._log_lock = threading.Lock()
-        self._budget_cache: dict[str, fixed_time.TimeBudget] = {}
-        self._budget_lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
+        # Live session threads by (source address, request datagram).
+        self._threads: dict[tuple[object, bytes], threading.Thread] = {}
 
     @property
     def address(self):
         return self.endpoint.address
-
-    def _budget_for(self, entry: KeyEntry) -> fixed_time.TimeBudget | None:
-        if self.decrypt_budget is None:
-            return None
-        if isinstance(self.decrypt_budget, fixed_time.TimeBudget):
-            return self.decrypt_budget
-        with self._budget_lock:
-            if entry.kid not in self._budget_cache:
-                log.info("calibrating fixed-time decrypt budget for key %s", entry.kid)
-                self._budget_cache[entry.kid] = calibrate_decrypt_budget(
-                    entry, n_samples=self.calibration_samples
-                )
-            return self._budget_cache[entry.kid]
 
     def warm_up(self) -> None:
         """Calibrate decrypt budgets for every secret key before serving.
@@ -799,50 +740,34 @@ class TftpServer:
                 self.endpoint.send(encode_packet(ErrorPacket(packets.ERR_ILLEGAL_OPERATION, str(exc))), src)
                 continue
             if isinstance(packet, (ReadRequest, WriteRequest)):
-                self._threads = [thread for thread in self._threads if thread.is_alive()]
+                self._threads = {key: thread for key, thread in self._threads.items() if thread.is_alive()}
+                if (src, data) in self._threads:
+                    continue  # a retransmitted request: its session is already answering
                 thread = threading.Thread(
                     target=self._run_session, args=(packet, src, stop), daemon=True
                 )
                 thread.start()
-                self._threads.append(thread)
+                self._threads[(src, data)] = thread
             else:
                 self.endpoint.send(
                     encode_packet(ErrorPacket(packets.ERR_ILLEGAL_OPERATION, "not a transfer request")), src
                 )
-        for thread in self._threads:
+        for thread in self._threads.values():
             thread.join(timeout=2 * self.timeout + 1)
 
     def _run_session(self, request, src, stop) -> None:
         summary = TransferSummary()
-        operation = "get" if isinstance(request, ReadRequest) else "put"
-        started = time.monotonic()
-        endpoint = self.network.endpoint()
-        session = _Session(
-            endpoint, src, timeout=self.timeout, max_retries=self.max_retries, summary=summary, stop=stop
-        )
         try:
-            session.enter_phase(Phase.NEGOTIATE)
-            if isinstance(request, WriteRequest):
-                self._serve_write(session, request)
-            else:
-                self._serve_read(session, request)
-            session.enter_phase(Phase.DONE)
-            summary.status = Phase.DONE
-        except _SessionAborted as abort:
-            summary.status = Phase.FAILED
-            if not summary.error_message:
-                summary.error_message = abort.message
-            if abort.code is not None and summary.error_code is None:
-                summary.error_code = abort.code
-            if summary.phases and summary.phases[-1] != Phase.FAILED:
-                summary.phases.append(Phase.FAILED)
+            summary.security = packets.security_from_options(request.options) is not None
+        except packets.MalformedPacketError:
+            pass
+        operation = "get" if isinstance(request, ReadRequest) else "put"
+        serve = self._serve_read if operation == "get" else self._serve_write
+        session = _Session(self, src, summary, stop)
+        try:
+            with session.run():
+                serve(session, request)
         finally:
-            endpoint.close()
-            summary.elapsed_s = time.monotonic() - started
-            try:
-                summary.security = packets.security_from_options(request.options) is not None
-            except packets.MalformedPacketError:
-                summary.security = False
             with self._log_lock:
                 self.session_logs.append(
                     SessionLog(
@@ -882,20 +807,17 @@ class TftpServer:
     def _negotiate(self, session: _Session, request) -> SecurityOptions | None:
         outcome = packets.negotiate(request.options, self.policy)
         if isinstance(outcome, ErrorPacket):
-            summary = session.summary
-            summary.error_code = outcome.code
-            session.send_packet(outcome)
-            raise _SessionAborted(outcome.code, outcome.message)
+            session.abort(outcome.code, outcome.message)
         return packets.security_from_options(outcome)
 
     def _serve_write(self, session: _Session, request: WriteRequest) -> None:
-        summary = session.summary
         self._check_mode(session, request)
         target = self._resolve(session, request.filename, must_exist=False)
         sec = self._negotiate(session, request)
 
         entry = None
         budget = None
+        initial = encode_packet(AckPacket(block=0))
         if sec is not None:
             if sec.keyblocks is None:
                 session.abort(packets.ERR_OPTION_REFUSED, "secured write needs a keyblocks option")
@@ -903,20 +825,8 @@ class TftpServer:
             if entry is None or entry.secret is None:
                 session.abort(packets.ERR_OPTION_REFUSED, f"no secret key for kid {sec.kid!r}")
             budget = self._budget_for(entry)  # calibrate before answering
-            oack = OptionAck(options=replace(sec, keyblocks=sec.keyblocks).to_options())
-            initial = encode_packet(oack)
+            initial = encode_packet(OptionAck(options=sec.to_options()))
             session.enter_phase(Phase.KEY_EXCHANGE)
-        else:
-            initial = encode_packet(AckPacket(block=0))
-            session.enter_phase(Phase.DATA_TRANSFER)
-
-        session.endpoint.send(initial, session.peer)
-        session.prompt = initial
-
-        def on_key_chunks(chunks):
-            if sec is None:
-                return None
-            return key_exchange_receive(chunks, entry.secret, entry.params, budget)
 
         def store(data: bytes) -> None:
             # Write beside the target, then rename over it: a failed write
@@ -931,14 +841,7 @@ class TftpServer:
                     temp.unlink()
                 session.abort(packets.ERR_DISK_FULL, f"cannot store file: {exc}")
 
-        data = session.recv_stream(
-            first_block=1,
-            keyblocks=sec.keyblocks if sec else 0,
-            on_key_chunks=on_key_chunks,
-            on_final=store,
-        )
-        summary.bytes_transferred = len(data)
-        session.dally()
+        session.recv_stream(initial, sec.keyblocks if sec else 0, entry, budget, on_final=store)
 
     def _serve_read(self, session: _Session, request: ReadRequest) -> None:
         summary = session.summary
@@ -961,17 +864,6 @@ class TftpServer:
             oack = OptionAck(
                 options=SecurityOptions(scheme=sec.scheme, keyblocks=len(key_payloads), kid=sec.kid).to_options()
             )
-            self._await_ack0(session, encode_packet(oack))
+            session.exchange(encode_packet(oack), _ack(0), "client never acknowledged options")
 
         session.send_stream(data, keys, key_payloads, self.rng)
-
-    def _await_ack0(self, session: _Session, oack_wire: bytes) -> None:
-        retries = 0
-        session.endpoint.send(oack_wire, session.peer)
-        while (block := session.recv_ack()) != 0:
-            if block is TIMEOUT:
-                retries += 1
-                if retries > session.max_retries:
-                    session.abort(None, "client never acknowledged options", notify_peer=False)
-                session.endpoint.send(oack_wire, session.peer)
-                session.summary.retransmissions += 1

@@ -38,7 +38,7 @@ def oracle_hash(u1, u2, e, q):
 
 
 def oracle_encrypt(params, pk, m, r):
-    """Independent oracle using the builtin pow, not the package's ladder."""
+    """Independent oracle: the builtin pow called directly, not through groups.mod_exp."""
     p, q = params.p, params.q
     u1 = pow(params.g1, r, p)
     u2 = pow(params.g2, r, p)

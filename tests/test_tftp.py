@@ -21,6 +21,7 @@ from tftps.packets import (
     DataPacket,
     ErrorPacket,
     OptionAck,
+    ReadRequest,
     SecurityOptions,
     TransferPolicy,
     WriteRequest,
@@ -65,6 +66,17 @@ def running_server(net, tmp_path, store, **kwargs):
     finally:
         stop.set()
         thread.join(timeout=5)
+
+
+def sources_within(probe, seconds):
+    """The sources of every datagram the probe receives in the next seconds."""
+    sources = set()
+    deadline = time.monotonic() + seconds
+    while (left := deadline - time.monotonic()) > 0:
+        reply = probe.recv(left)
+        if reply is not TIMEOUT:
+            sources.add(reply[1])
+    return sources
 
 
 def wait_for(predicate, timeout=5.0):
@@ -231,7 +243,7 @@ class TestEndToEnd:
         store, entry = keystore
         net = SimulatedNetwork(ChannelModel())
         data = b"small payload"
-        with running_server(net, tmp_path, store, decrypt_budget="auto", calibration_samples=30) as server:
+        with running_server(net, tmp_path, store, decrypt_budget="auto") as server:
             server.warm_up()
             client = TftpClient(net, store, rng=random.Random(24), timeout=0.5, decrypt_budget=None)
             summary = client.put(data, server.address, "padded.bin", SecurityOptions(kid=entry.kid))
@@ -488,6 +500,78 @@ class TestResourceBounds:
                 assert client.put(b"x" * 100, server.address, f"f{i}.bin", None).ok
                 assert wait_for(lambda: len(server.session_logs) == i + 1)
             assert len(server._threads) <= 2
+
+
+class TestLiveness:
+    @pytest.mark.parametrize("request_type", [WriteRequest, ReadRequest])
+    def test_repeated_stale_packet_does_not_hold_session_open(self, tmp_path, keystore, request_type):
+        store, _ = keystore
+        (tmp_path / "boot.img").write_bytes(b"x" * 100)
+        timeout, retries = 0.05, 5
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store, timeout=timeout, max_retries=retries) as server:
+            probe = net.endpoint()
+            probe.send(encode_packet(request_type("boot.img", "octet")), server.address)
+            reply = probe.recv(1.0)
+            assert reply is not TIMEOUT
+            session_addr = reply[1]
+            # ACK 0 is never what the session awaits: a write waits for DATA 1,
+            # a read for ACK 1.  Sent more often than the timeout, it must not
+            # restart the session's timer.
+            deadline = time.monotonic() + (retries + 2) * timeout + 1.0
+            while not server.session_logs and time.monotonic() < deadline:
+                probe.send(encode_packet(AckPacket(0)), session_addr)
+                time.sleep(0.03)
+            assert server.session_logs, "stale ACKs held the session open"
+            assert server.session_logs[0].summary.status == "FAILED"
+
+    def test_retransmitted_request_starts_no_second_session(self, tmp_path, keystore):
+        store, _ = keystore
+        (tmp_path / "boot.img").write_bytes(b"\xde\xad\xbe\xef")
+        timeout, retries = 0.1, 5
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store, timeout=timeout, max_retries=retries) as server:
+            probe = net.endpoint()
+            rrq = encode_packet(ReadRequest("boot.img", "octet"))
+            probe.send(rrq, server.address)
+            _, session_addr = probe.recv(1.0)
+            probe.send(rrq, server.address)  # the request again, as if DATA 1 were late
+            sources = sources_within(probe, 3 * timeout)
+            probe.send(encode_packet(AckPacket(1)), session_addr)
+            sources |= sources_within(probe, (retries + 2) * timeout)
+        assert sources <= {session_addr}
+        assert len(server.session_logs) == 1
+        assert server.session_logs[0].summary.ok
+
+
+class TestWireTranscript:
+    """Same seeds, same bytes on the wire: pins what the session code sends."""
+
+    SIZES = (0, 456, 912, 5_000)
+    # (put.blocks, get.blocks) per transfer, secured sizes first; a secured
+    # put counts its key blocks, a secured get only the data blocks.
+    BLOCKS = [(3, 1), (4, 2), (5, 3), (13, 11), (1, 1), (1, 1), (2, 2), (10, 10)]
+    WIRETAP_SHA256 = "5623a38e04763e292a530270a6ba7d3ad474c0f970c59cd25b8dde0579935293"
+
+    def test_put_and_get_wire_bytes_are_pinned(self, tmp_path, keystore):
+        store, entry = keystore
+        net = SimulatedNetwork(ChannelModel())
+        blocks = []
+        with running_server(net, tmp_path, store, timeout=1.0) as server:
+            client = TftpClient(net, store, rng=random.Random(42), timeout=1.0, decrypt_budget=None)
+            for security in (SecurityOptions(kid=entry.kid), None):
+                for size in self.SIZES:
+                    data = random.Random(size).randbytes(size)
+                    name = f"{size}-{security is not None}.bin"
+                    put = client.put(data, server.address, name, security)
+                    fetched, get = client.get(name, server.address, security)
+                    assert put.ok and get.ok and fetched == data
+                    blocks.append((put.blocks, get.blocks))
+        digest = hashlib.sha256()
+        for datagram in net.wiretap:
+            digest.update(len(datagram).to_bytes(4, "big") + datagram)
+        assert blocks == self.BLOCKS
+        assert digest.hexdigest() == self.WIRETAP_SHA256
 
 
 class TestLegacyInterop:
