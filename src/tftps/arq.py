@@ -1,10 +1,16 @@
 """Simplex stop-and-wait ARQ: pure step functions over explicit state.
 
-One DATA frame is outstanding at a time; the receiver acknowledges each
-frame, re-acknowledges duplicates without re-delivering, and silently
-drops frames whose checksum fails (the sender's timeout covers the loss).
-The sequence width is a parameter: 1 bit for the classic alternating-bit
-demo, 16 bits for TFTP block numbers.
+One DATA frame is outstanding at a time: the sender takes a payload only
+when idle and reports Done when it is acknowledged.  The receiver
+acknowledges each frame and re-acknowledges duplicates without
+re-delivering.  The sequence width is a parameter: 1 bit for the classic
+alternating-bit demo, 16 bits for TFTP block numbers.
+
+Frames carry no checksum of their own.  The standalone demo wire format
+appends a CRC-32, and decode_frame rejects a frame whose CRC fails, so a
+corrupted frame never reaches the machines (the sender's timeout covers
+the loss).  TFTP needs no CRC: the UDP checksum covers each datagram and
+the MAC each sealed record.
 
 The caller owns the event loop and all timers; these functions never
 block, never sleep, and hold no hidden state.
@@ -36,38 +42,36 @@ def crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def frame_checksum(kind: FrameKind, seq: int, payload: bytes) -> int:
-    return crc32(seq.to_bytes(2, "big") + bytes([kind]) + payload)
-
-
 @dataclass(frozen=True)
 class Frame:
     kind: FrameKind
     seq: int
     payload: bytes
-    checksum: int
-
-    def verifies(self) -> bool:
-        return self.checksum == frame_checksum(self.kind, self.seq, self.payload)
 
 
 def make_data_frame(seq: int, payload: bytes) -> Frame:
-    return Frame(FrameKind.DATA, seq, payload, frame_checksum(FrameKind.DATA, seq, payload))
+    return Frame(FrameKind.DATA, seq, payload)
 
 
 def make_ack_frame(seq: int) -> Frame:
-    return Frame(FrameKind.ACK, seq, b"", frame_checksum(FrameKind.ACK, seq, b""))
+    return Frame(FrameKind.ACK, seq, b"")
 
 
-# Standalone demo wire format: kind(1) | seq(2 BE) | length(2 BE) | payload | crc32(4 BE).
+# Standalone demo wire format: kind(1) | seq(2 BE) | length(2 BE) | payload | crc32(4 BE),
+# where the CRC covers seq(2 BE) | kind(1) | payload.
+
+def _frame_crc(kind: int, seq_bytes: bytes, payload: bytes) -> bytes:
+    return crc32(seq_bytes + bytes([kind]) + payload).to_bytes(4, "big")
+
 
 def encode_frame(frame: Frame) -> bytes:
+    seq_bytes = frame.seq.to_bytes(2, "big")
     return (
         bytes([frame.kind])
-        + frame.seq.to_bytes(2, "big")
+        + seq_bytes
         + len(frame.payload).to_bytes(2, "big")
         + frame.payload
-        + frame.checksum.to_bytes(4, "big")
+        + _frame_crc(frame.kind, seq_bytes, frame.payload)
     )
 
 
@@ -77,13 +81,14 @@ def decode_frame(data: bytes) -> Frame:
     kind_byte = data[0]
     if kind_byte not in (FrameKind.DATA, FrameKind.ACK):
         raise FrameError(f"unknown frame kind {kind_byte}")
-    seq = int.from_bytes(data[1:3], "big")
+    seq_bytes = data[1:3]
     length = int.from_bytes(data[3:5], "big")
     if len(data) != 9 + length:
         raise FrameError("frame length mismatch")
     payload = data[5 : 5 + length]
-    checksum = int.from_bytes(data[5 + length :], "big")
-    return Frame(FrameKind(kind_byte), seq, payload, checksum)
+    if data[5 + length :] != _frame_crc(kind_byte, seq_bytes, payload):
+        raise FrameError("checksum mismatch")
+    return Frame(FrameKind(kind_byte), int.from_bytes(seq_bytes, "big"), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +108,9 @@ class ChunkSet:
 def chunk_payload(data: bytes, max_payload: int) -> ChunkSet:
     """Split into ceil(len/max_payload) chunks, all full-size except the last.
 
-    Empty input yields one empty chunk (TFTP's empty-final-block convention).
+    Empty input yields one empty chunk.  An exact multiple of max_payload
+    gets no trailing empty chunk: TFTP's empty-final-block convention is
+    the session's own chunker's job (tftp._Session.send_stream).
     """
     if max_payload < 1:
         raise ParameterError("max_payload must be >= 1")
@@ -142,11 +149,6 @@ class Timeout:
 
 
 @dataclass(frozen=True)
-class CorruptAck:
-    pass
-
-
-@dataclass(frozen=True)
 class EmitFrame:
     frame: Frame
 
@@ -176,7 +178,6 @@ class SenderState:
     seq_bits: int = 16
     max_retries: int = DEFAULT_MAX_RETRIES
     seq: int = 0
-    queue: tuple[bytes, ...] = ()
     pending: bytes | None = None
     retries: int = 0
     failed: bool = False
@@ -193,29 +194,25 @@ def new_sender(seq_bits: int = 16, max_retries: int = DEFAULT_MAX_RETRIES, start
 def sender_step(state: SenderState, event) -> tuple[SenderState, list]:
     """Advance the sender by one event; returns (new state, actions).
 
-    SEND enqueues a payload (transmitting immediately when idle); a
-    matching ACK advances the sequence and emits the next DATA frame or
-    DONE; TIMEOUT retransmits the identical frame until max_retries is
-    exceeded, which FAILs the transfer.  Non-matching ACKs and corrupted
-    ACKs change nothing.
+    SEND transmits a payload and is accepted only when idle; a matching
+    ACK advances the sequence and reports DONE, after which the caller may
+    SEND the next payload; TIMEOUT retransmits the identical frame until
+    max_retries is exceeded, which FAILs the transfer.  Non-matching ACKs
+    change nothing.
     """
     if state.failed:
         return state, []
 
     if isinstance(event, Send):
-        if state.pending is None:
-            new = replace(state, pending=event.payload, retries=0)
-            return new, [EmitFrame(make_data_frame(new.seq, event.payload))]
-        return replace(state, queue=state.queue + (event.payload,)), []
+        if state.pending is not None:
+            raise ParameterError(f"send while frame {state.seq} is outstanding")
+        new = replace(state, pending=event.payload, retries=0)
+        return new, [EmitFrame(make_data_frame(new.seq, event.payload))]
 
     if isinstance(event, AckReceived):
         if state.pending is None or event.seq != state.seq:
             return state, []
         next_seq = (state.seq + 1) % state.seq_mod
-        if state.queue:
-            payload, rest = state.queue[0], state.queue[1:]
-            new = replace(state, seq=next_seq, queue=rest, pending=payload, retries=0)
-            return new, [EmitFrame(make_data_frame(next_seq, payload))]
         return replace(state, seq=next_seq, pending=None, retries=0), [Done()]
 
     if isinstance(event, Timeout):
@@ -225,10 +222,6 @@ def sender_step(state: SenderState, event) -> tuple[SenderState, list]:
         if retries > state.max_retries:
             return replace(state, failed=True), [Fail(f"retry limit {state.max_retries} exceeded")]
         return replace(state, retries=retries), [EmitFrame(make_data_frame(state.seq, state.pending))]
-
-    if isinstance(event, CorruptAck):
-        # Corrupted ACKs are treated as lost; the timeout path recovers.
-        return state, []
 
     raise ParameterError(f"unknown sender event {event!r}")
 
@@ -251,12 +244,10 @@ def new_receiver(seq_bits: int = 16, start_seq: int = 0) -> ReceiverState:
 def receiver_step(state: ReceiverState, frame: Frame) -> tuple[ReceiverState, list]:
     """Process one received frame.
 
-    Checksum failures are dropped without acknowledgement (the sender times
-    out and retransmits); duplicates are re-acknowledged but never
-    re-delivered; the expected frame is delivered upward and acknowledged.
+    Duplicates are re-acknowledged but never re-delivered; the expected
+    frame is delivered upward and acknowledged; anything else is dropped
+    without acknowledgement.
     """
-    if not frame.verifies():
-        return state, [Drop("checksum mismatch")]
     if frame.kind != FrameKind.DATA:
         return state, [Drop("not a data frame")]
     if frame.seq == state.expected_seq:

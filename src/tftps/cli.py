@@ -129,8 +129,6 @@ def cmd_serve(args) -> int:
     root = args.root or config.get("root", ".")
     if config.get("keystore") and not args.keystore:
         args.keystore = config["keystore"]
-    if config.get("calibration"):
-        os.environ.setdefault(fixed_time.CALIBRATION_ENV, config["calibration"])
     require = args.require_security or config.get("require_security", "").lower() in ("1", "true", "yes")
 
     keystore = _keystore_from(args)
@@ -504,7 +502,7 @@ def build_parser() -> _Parser:
     p.add_argument("--keystore")
     p.add_argument("--key-file", action="append")
     p.add_argument("--require-security", action="store_true")
-    p.add_argument("--config", help="key=value config file (port, root, keystore, calibration)")
+    p.add_argument("--config", help="key=value config file (port, root, keystore, require_security)")
     p.add_argument("--seed", type=int)
     p.add_argument("--timeout", type=float, default=0.5)
     p.set_defaults(func=cmd_serve)

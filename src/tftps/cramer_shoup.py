@@ -23,6 +23,7 @@ from pathlib import Path
 from .groups import (
     GroupParams,
     ParameterError,
+    Sentinel,
     jacobi_symbol,
     mod_exp,
     params_from_mapping,
@@ -35,25 +36,10 @@ class EncodingError(ValueError):
     """Message bytes do not fit, or an element is not a valid encoding."""
 
 
-class Reject:
-    """Distinguished decryption result for invalid ciphertexts.
-
-    A value rather than an exception so game harnesses can count rejections
-    without control-flow differences between accept and reject paths.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "REJECT"
-
-
-REJECT = Reject()
+# Decryption result for invalid ciphertexts.  A value rather than an
+# exception so game harnesses can count rejections without control-flow
+# differences between accept and reject paths.
+REJECT = Sentinel("REJECT")
 
 _DEFAULT_RNG = random.SystemRandom()
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from . import cramer_shoup, fixed_time
 from .cramer_shoup import REJECT, CsCiphertext
-from .groups import GroupParams, ParameterError, gen_group_params, mod_exp, random_subgroup_element
+from .groups import GroupParams, ParameterError, Sentinel, gen_group_params, mod_exp, random_subgroup_element
 from .transport import ChannelModel, FixedDelay
 
 LEAKY = "leaky"
@@ -44,19 +44,7 @@ LEAK_PER_BIT_S = 50e-6  # planted leak: 50 microseconds per set plaintext bit
 Z_99 = 2.5758293035489004
 
 
-class Refused:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "REFUSED"
-
-
-REFUSED = Refused()
+REFUSED = Sentinel("REFUSED")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,18 @@ class ParameterError(ValueError):
     """An argument violates an operation's preconditions."""
 
 
+class Sentinel:
+    """A named distinguished result, such as REJECT or TIMEOUT; compare it with ``is``."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 _SYSTEM_RANDOM = random.SystemRandom()
 
 # Trial-division primes used to pre-screen candidates before Miller-Rabin.

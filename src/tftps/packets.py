@@ -265,9 +265,4 @@ def negotiate(request_options, policy: TransferPolicy):
         return ()
     if sec.scheme not in policy.supported_schemes:
         return ErrorPacket(ERR_OPTION_REFUSED, f"unsupported security scheme {sec.scheme!r}")
-    accepted = [("sec", sec.scheme)]
-    if sec.keyblocks is not None:
-        accepted.append(("keyblocks", str(sec.keyblocks)))
-    if sec.kid:
-        accepted.append(("kid", sec.kid))
-    return tuple(accepted)
+    return sec.to_options()

@@ -17,7 +17,7 @@ import hmac
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .groups import ParameterError
+from .groups import ParameterError, Sentinel
 
 KEY_MATERIAL_LEN = 64
 NONCE_LEN = 16
@@ -28,21 +28,7 @@ RECORD_OVERHEAD = SEQ_LEN + NONCE_LEN + TAG_LEN  # 56 octets per sealed block
 _DEFAULT_RNG = random.SystemRandom()
 
 
-class MacFailure:
-    """Distinguished result for records that fail authentication."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "MAC_FAILURE"
-
-
-MAC_FAILURE = MacFailure()
+MAC_FAILURE = Sentinel("MAC_FAILURE")  # result for records that fail authentication
 
 # Byte-operation counter for the constant-time comparison, so tests can
 # assert match and mismatch execute the same amount of work.

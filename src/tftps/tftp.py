@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import arq, cramer_shoup, fixed_time, packets, records
 from .cramer_shoup import REJECT, CsPublicKey, CsSecretKey, EncodingError
-from .groups import GroupParams, ParameterError
+from .groups import GroupParams, ParameterError, Sentinel
 from .packets import (
     AckPacket,
     DataPacket,
@@ -61,19 +61,7 @@ KEYSTORE_ENV = "TFTPS_KEYSTORE"
 _DEFAULT_RNG = random.SystemRandom()
 
 
-class SecurityFailureResult:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "SECURITY_FAILURE"
-
-
-SECURITY_FAILURE = SecurityFailureResult()
+SECURITY_FAILURE = Sentinel("SECURITY_FAILURE")
 
 
 class Phase:
@@ -483,6 +471,7 @@ class _Session:
             for action in actions:
                 if isinstance(action, arq.Deliver):
                     delivered = True
+                    self.summary.blocks += 1
                     if len(key_chunks) < keyblocks:
                         key_chunks.append(action.payload)
                         if len(key_chunks) == keyblocks:
@@ -494,7 +483,6 @@ class _Session:
                             self.enter_phase(Phase.DATA_TRANSFER)
                     else:
                         out.extend(action.payload)
-                        self.summary.blocks += 1
                         self.summary.blocks_accepted += 1
                 elif isinstance(action, arq.EmitFrame):
                     ack = encode_packet(AckPacket(block=action.frame.seq))

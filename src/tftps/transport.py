@@ -22,24 +22,12 @@ import time
 from dataclasses import dataclass
 
 from . import arq
-from .groups import ParameterError
+from .groups import ParameterError, Sentinel
 
 MAX_DATAGRAM = 65507
 
 
-class TimeoutResult:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TIMEOUT"
-
-
-TIMEOUT = TimeoutResult()
+TIMEOUT = Sentinel("TIMEOUT")
 
 
 @dataclass(frozen=True)
@@ -256,7 +244,9 @@ def run_scenario(
     """Run a stop-and-wait transfer against a scripted channel, virtually timed.
 
     The script maps global datagram indices (counted in transmit order over
-    both directions) to "drop" or "corrupt".  Every frame, adverse event,
+    both directions) to "drop" or "corrupt".  A corrupted frame fails its
+    CRC at decode and is traced as "undecodable".  The next payload is sent
+    once the previous one is acknowledged.  Every frame, adverse event,
     timeout, and delivery lands in the trace; indices beyond the datagrams
     actually sent are a parameter error.
     """
@@ -300,8 +290,12 @@ def run_scenario(
             record(t, direction, kind_name, frame.seq, "corrupt")
         schedule(t + propagation_delay, "deliver_b" if direction == "a->b" else "deliver_a", wire)
 
-    def handle_sender_actions(t: float, actions) -> None:
-        nonlocal outcome, retransmissions
+    upcoming = iter(payloads)
+
+    def step_sender(t: float, event) -> None:
+        """Feed the sender one event; on Done, send the next payload or finish."""
+        nonlocal sender, outcome, retransmissions
+        sender, actions = arq.sender_step(sender, event)
         for action in actions:
             if isinstance(action, arq.EmitFrame):
                 if sender.retries > 0:
@@ -309,17 +303,19 @@ def run_scenario(
                 transmit(t, "a->b", action.frame)
                 schedule(t + timeout, "timer", (action.frame.seq, sender.retries))
             elif isinstance(action, arq.Done):
-                record(t, "a->b", None, None, "done")
-                outcome = "DONE"
+                payload = next(upcoming, None)
+                if payload is not None:
+                    step_sender(t, arq.Send(payload))
+                else:
+                    record(t, "a->b", None, None, "done")
+                    outcome = "DONE"
             elif isinstance(action, arq.Fail):
                 record(t, "a->b", None, None, "fail")
                 outcome = "FAIL"
 
     t = 0.0
-    for payload in payloads:
-        new_sender_state, actions = arq.sender_step(sender, arq.Send(payload))
-        sender = new_sender_state
-        handle_sender_actions(t, actions)
+    if payloads:
+        step_sender(t, arq.Send(next(upcoming)))
 
     while events and outcome is None:
         t, _, kind, item = heapq.heappop(events)
@@ -327,8 +323,7 @@ def run_scenario(
             seq, retries_at_emit = item
             if sender.pending is not None and sender.seq == seq and sender.retries == retries_at_emit:
                 record(t, "a->b", "DATA", seq, "timeout")
-                sender, actions = arq.sender_step(sender, arq.Timeout())
-                handle_sender_actions(t, actions)
+                step_sender(t, arq.Timeout())
         elif kind == "deliver_b":
             try:
                 frame = arq.decode_frame(item)
@@ -350,15 +345,9 @@ def run_scenario(
                 frame = arq.decode_frame(item)
             except arq.FrameError:
                 record(t, "b->a", None, None, "undecodable")
-                sender, actions = arq.sender_step(sender, arq.CorruptAck())
-                handle_sender_actions(t, actions)
                 continue
             record(t, "b->a", frame.kind.name, frame.seq, "deliver")
-            if not frame.verifies():
-                sender, actions = arq.sender_step(sender, arq.CorruptAck())
-            else:
-                sender, actions = arq.sender_step(sender, arq.AckReceived(frame.seq))
-            handle_sender_actions(t, actions)
+            step_sender(t, arq.AckReceived(frame.seq))
 
     if script:
         raise ParameterError(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tftps import cramer_shoup, records
+from tftps import arq, cramer_shoup, records
 from tftps.cramer_shoup import keygen
 from tftps.groups import ParameterError
 from tftps.packets import (
@@ -548,9 +548,9 @@ class TestWireTranscript:
     """Same seeds, same bytes on the wire: pins what the session code sends."""
 
     SIZES = (0, 456, 912, 5_000)
-    # (put.blocks, get.blocks) per transfer, secured sizes first; a secured
-    # put counts its key blocks, a secured get only the data blocks.
-    BLOCKS = [(3, 1), (4, 2), (5, 3), (13, 11), (1, 1), (1, 1), (2, 2), (10, 10)]
+    # (put.blocks, get.blocks) per transfer, secured sizes first; both sides
+    # count every DATA block, the key-exchange blocks included.
+    BLOCKS = [(3, 3), (4, 4), (5, 5), (13, 13), (1, 1), (1, 1), (2, 2), (10, 10)]
     WIRETAP_SHA256 = "5623a38e04763e292a530270a6ba7d3ad474c0f970c59cd25b8dde0579935293"
 
     def test_put_and_get_wire_bytes_are_pinned(self, tmp_path, keystore):
@@ -572,6 +572,30 @@ class TestWireTranscript:
             digest.update(len(datagram).to_bytes(4, "big") + datagram)
         assert blocks == self.BLOCKS
         assert digest.hexdigest() == self.WIRETAP_SHA256
+
+
+class TestNoCrcOnTftpPath:
+    def test_put_and_get_compute_no_crc(self, tmp_path, keystore, monkeypatch):
+        """The UDP checksum and the record MAC cover TFTP blocks; the CRC is the demo codec's alone."""
+
+        def no_crc(data):
+            raise AssertionError("the TFTP path computed a CRC")
+
+        monkeypatch.setattr(arq, "crc32", no_crc)
+        store, entry = keystore
+        net = SimulatedNetwork(ChannelModel())
+        data = random.Random(5).randbytes(2_000)
+        with running_server(net, tmp_path, store) as server:
+            client = TftpClient(net, store, rng=random.Random(6), timeout=0.5, decrypt_budget=None)
+            for security in (SecurityOptions(kid=entry.kid), None):
+                name = f"nocrc-{security is not None}.bin"
+                put = client.put(data, server.address, name, security)
+                fetched, get = client.get(name, server.address, security)
+                assert put.ok, put.error_message
+                assert get.ok, get.error_message
+                assert fetched == data
+            assert wait_for(lambda: len(server.session_logs) == 4)
+            assert all(log.summary.ok for log in server.session_logs)
 
 
 class TestLegacyInterop:

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -194,3 +196,27 @@ class TestRunScenario:
             assert result.outcome == outcome
             assert [d[0] for d in result.delivered] == delivered
             assert result.datagrams_sent == datagrams
+
+    # SHA-256 over trace_to_jsonl of every drop-only script below (208 runs),
+    # computed when run_scenario still queued every payload up front.
+    DROP_ONLY_TRACES_SHA256 = "b65b700388f95d8760cf4c70e0d38585edb1fdcbe3353b793902614d0a51ef12"
+
+    def test_drop_only_traces_are_pinned(self):
+        digest = hashlib.sha256()
+        runs = 0
+        for seq_bits in (1, 16):
+            for n in range(1, 5):
+                payloads = [bytes([i]) * 3 for i in range(n)]
+                limit = 2 * n + 4
+                scripts = [{}] + [{i: "drop"} for i in range(limit)] + [
+                    {i: "drop", j: "drop"} for i, j in itertools.combinations(range(limit), 2)
+                ]
+                for script in scripts:
+                    try:
+                        result = run_scenario(payloads, script, seq_bits=seq_bits)
+                    except ParameterError:
+                        continue  # event index beyond the datagrams this pattern produces
+                    runs += 1
+                    digest.update(trace_to_jsonl(result.trace).encode())
+        assert runs == 208
+        assert digest.hexdigest() == self.DROP_ONLY_TRACES_SHA256
