@@ -1,4 +1,4 @@
-"""Command-line front door: keygen, serve, get, put, games, calibrate, simulate.
+"""Command-line front door: keygen, serve, get, put, games, simulate.
 
 Exit codes: 0 success, 1 usage, 2 IO/config, 3 protocol failure,
 4 security failure, 5 assertion failure (games).  Every subcommand is
@@ -19,7 +19,7 @@ import threading
 import time
 from pathlib import Path
 
-from . import cramer_shoup, fixed_time, games, packets, tftp, transport
+from . import cramer_shoup, games, packets, tftp, transport
 from .groups import ParameterError, gen_group_params
 from .packets import SecurityOptions, TransferPolicy
 
@@ -293,7 +293,6 @@ def cmd_games(args) -> int:
         pin_cpu=args.pin_cpu,
     )
     params = games.game_params(config, rng)
-    message_length = max(1, min(args.message_length, games.max_message_length(params)))
     scheme = games.make_scheme(args.scheme, params)
     adversary = games.make_adversary(args.adversary)
 
@@ -301,21 +300,7 @@ def cmd_games(args) -> int:
         result = games.run_ind_cca2(scheme, adversary, config)
         mode = None
     elif args.game == "scta":
-        budget = None
-        if args.mode == games.FIXED:
-            budgets = fixed_time.load_budgets(args.calibration)
-            key = ("scta.decrypt", message_length)
-            if key in budgets:
-                budget = budgets[key]
-            elif not args.auto_calibrate:
-                raise CliError(
-                    EXIT_CONFIG,
-                    "no calibrated budget for scta.decrypt at message length "
-                    f"{message_length}; run `tftps calibrate --ops scta.decrypt "
-                    f"--bits {args.bits} --message-length {message_length}` first "
-                    "(or pass --auto-calibrate)",
-                )
-        result = games.run_ind_cca2_scta(scheme, adversary, args.mode, config, budget=budget)
+        result = games.run_ind_cca2_scta(scheme, adversary, args.mode, config)
         mode = args.mode
     else:
         raise CliError(EXIT_USAGE, f"unknown game {args.game!r}")
@@ -337,59 +322,6 @@ def cmd_games(args) -> int:
         if result.advantage < threshold:
             print(f"assertion failed: advantage {result.advantage:.4f} < {threshold:.4f}", file=sys.stderr)
             return EXIT_ASSERTION
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# calibrate
-# ---------------------------------------------------------------------------
-
-def cmd_calibrate(args) -> int:
-    print("note: calibrate on an otherwise idle machine for trustworthy worst-case budgets")
-    rng = random.Random(args.seed if args.seed is not None else 0)
-    params = gen_group_params(args.bits, rng)
-    budgets: list[fixed_time.TimeBudget] = []
-    ops = [op.strip() for op in args.ops.split(",") if op.strip()]
-    for op in ops:
-        if op == "cs.encrypt":
-            pk, _ = cramer_shoup.keygen(params, rng)
-            element = pk.params.g1
-            wire_len = len(cramer_shoup.ciphertext_to_bytes(cramer_shoup.encrypt_with_rng(pk, element, rng)))
-            op_class = fixed_time.OpClass("cs.encrypt", wire_len)
-            budget = fixed_time.calibrate(
-                op_class,
-                lambda: cramer_shoup.encrypt_with_rng(pk, element, rng),
-                n_samples=args.samples,
-                safety_factor=args.factor,
-            )
-        elif op == "cs.decrypt":
-            if params.q.bit_length() <= 8 * 65:
-                raise CliError(
-                    EXIT_CONFIG,
-                    "cs.decrypt calibration wraps 64-octet key material and needs --bits >= 1024",
-                )
-            pk, sk = cramer_shoup.keygen(params, rng)
-            store_entry = tftp.KeyEntry(kid=cramer_shoup.key_id(pk), public=pk, secret=sk)
-            budget = tftp.calibrate_decrypt_budget(
-                store_entry, rng, n_samples=args.samples, safety_factor=args.factor
-            )
-        elif op == "scta.decrypt":
-            scheme = games.leaky_fixture(games.make_scheme("cs", params))
-            budget = games.calibrate_scta_budget(
-                scheme,
-                params,
-                args.message_length,
-                rng=rng,
-                n_samples=args.samples,
-                safety_factor=args.factor,
-            )
-        else:
-            raise CliError(EXIT_USAGE, f"unknown operation class {op!r}")
-        budgets.append(budget)
-        print(f"{budget.op_class.name}:{budget.op_class.input_length} -> {budget.budget_ns} ns "
-              f"(max of {budget.samples} samples x {budget.safety_factor})")
-    path = fixed_time.save_budgets(budgets, args.out)
-    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -532,9 +464,6 @@ def build_parser() -> _Parser:
     p.add_argument("--message-length", type=int, default=16)
     p.add_argument("--delay-ms", type=float, default=0.0, help="uniform channel delay bound")
     p.add_argument("--pin-cpu", action="store_true")
-    p.add_argument("--calibration", help="calibration file for --mode fixed")
-    p.add_argument("--auto-calibrate", action="store_true",
-                   help="calibrate in-process instead of requiring a calibration file")
     p.add_argument("--threshold", type=float, help="override the 3/sqrt(N) assert threshold")
     p.add_argument("--vulnerable-threshold", type=float, default=0.99)
     p.add_argument("--assert", dest="assert_secure", action="store_true",
@@ -543,17 +472,6 @@ def build_parser() -> _Parser:
                    help="exit 5 unless advantage >= vulnerable threshold")
     p.add_argument("--transcript", help="dump per-trial transcripts as JSON lines")
     p.set_defaults(func=cmd_games)
-
-    p = sub.add_parser("calibrate", help="measure and persist fixed-time budgets")
-    p.add_argument("--ops", default="cs.encrypt,cs.decrypt",
-                   help="comma-separated: cs.encrypt, cs.decrypt, scta.decrypt")
-    p.add_argument("--bits", type=int, default=2048)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--factor", type=float, default=1.5)
-    p.add_argument("--message-length", type=int, default=16, help="for scta.decrypt")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help=f"calibration file (or ${fixed_time.CALIBRATION_ENV})")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", help="end-to-end transfer over the simulated channel")
     p.add_argument("--size", type=int, default=1 << 20)

@@ -7,23 +7,19 @@ clock (sleep to within a margin, spin the rest), so equal-length inputs
 complete in indistinguishable time.  observe() is the unpadded measurement
 instrument the game adversaries use.
 
-Budgets persist to a text calibration file (`op:len=budget_ns` lines) so
-repeated runs are stable per machine; TFTPS_CALIBRATION overrides the path.
+A budget is measured in the process that pads with it and is never stored:
+it holds only for the machine and load it was measured under.
 """
 
 from __future__ import annotations
 
-import os
+import collections
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from .groups import ParameterError
-
-CALIBRATION_ENV = "TFTPS_CALIBRATION"
-DEFAULT_CALIBRATION_FILE = "tftps-calibration.txt"
 
 # Sleep until this much budget remains, then spin; bounds padding jitter
 # without burning a full core for the whole budget.
@@ -36,7 +32,7 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OpClass:
-    """An operation class: a registered name plus its input length in octets."""
+    """An operation class: a name plus its input length in octets."""
 
     name: str
     input_length: int
@@ -52,9 +48,7 @@ class TimeBudget:
 
 @dataclass(frozen=True)
 class TimingSample:
-    op_class: OpClass | None
     elapsed_ns: int
-    timestamp_ns: int
 
 
 @dataclass(frozen=True)
@@ -64,24 +58,16 @@ class OverrunEvent:
     budget_ns: int
 
 
-_registry: set[str] = set()
-_overruns: list[OverrunEvent] = []
+# The most recent overruns; a server that never drains them holds at most this many.
+_overruns: collections.deque[OverrunEvent] = collections.deque(maxlen=1024)
 _lock = threading.Lock()
-
-
-def register_op_class(name: str) -> None:
-    with _lock:
-        _registry.add(name)
-
-
-def registered_op_classes() -> frozenset[str]:
-    return frozenset(_registry)
 
 
 def consume_overrun_events() -> list[OverrunEvent]:
     """Return and clear the BUDGET_OVERRUN events recorded so far."""
     with _lock:
-        events, _overruns[:] = list(_overruns), []
+        events = list(_overruns)
+        _overruns.clear()
     return events
 
 
@@ -94,7 +80,6 @@ def budget_from_samples(op_class: OpClass, samples_ns: list[int], safety_factor:
     budget = int(max(samples_ns) * safety_factor)
     if budget <= 0:
         raise CalibrationError("calibration produced a non-positive budget")
-    register_op_class(op_class.name)
     return TimeBudget(op_class=op_class, budget_ns=budget, samples=len(samples_ns), safety_factor=safety_factor)
 
 
@@ -146,57 +131,10 @@ def run_fixed(budget: TimeBudget, operation: Callable[[], object]) -> tuple[obje
     return result, time.perf_counter_ns() - start
 
 
-def observe(operation: Callable[[], object], op_class: OpClass | None = None) -> tuple[object, TimingSample]:
+def observe(operation: Callable[[], object]) -> tuple[object, TimingSample]:
     """Run unpadded and report the raw elapsed time (the adversary's view)."""
     start = time.perf_counter_ns()
     result = operation()
-    elapsed = time.perf_counter_ns() - start
-    return result, TimingSample(op_class=op_class, elapsed_ns=elapsed, timestamp_ns=start)
+    return result, TimingSample(elapsed_ns=time.perf_counter_ns() - start)
 
 
-# ---------------------------------------------------------------------------
-# Calibration file: one `<op_class>:<input_length>=<budget_ns>` line per budget.
-# ---------------------------------------------------------------------------
-
-def calibration_path(explicit: str | Path | None = None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
-    return Path(os.environ.get(CALIBRATION_ENV, DEFAULT_CALIBRATION_FILE))
-
-
-def save_budgets(budgets: list[TimeBudget], path: str | Path | None = None) -> Path:
-    target = calibration_path(path)
-    existing = {}
-    if target.exists():
-        existing = {(b.op_class.name, b.op_class.input_length): b for b in load_budgets(target).values()}
-    for b in budgets:
-        existing[(b.op_class.name, b.op_class.input_length)] = b
-    lines = [
-        f"{name}:{length}={budget.budget_ns}"
-        for (name, length), budget in sorted(existing.items())
-    ]
-    target.write_text("\n".join(lines) + "\n")
-    return target
-
-
-def load_budgets(path: str | Path | None = None) -> dict[tuple[str, int], TimeBudget]:
-    """Load persisted budgets keyed by (op class name, input length)."""
-    target = calibration_path(path)
-    budgets: dict[tuple[str, int], TimeBudget] = {}
-    if not target.exists():
-        return budgets
-    for raw in target.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            head, _, budget_str = line.partition("=")
-            name, _, length_str = head.rpartition(":")
-            op = OpClass(name=name, input_length=int(length_str))
-            budgets[(op.name, op.input_length)] = TimeBudget(
-                op_class=op, budget_ns=int(budget_str), samples=0, safety_factor=1.0
-            )
-            register_op_class(op.name)
-        except ValueError as exc:
-            raise CalibrationError(f"malformed calibration line: {raw!r}") from exc
-    return budgets

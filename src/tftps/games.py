@@ -28,6 +28,7 @@ import contextlib
 import math
 import os
 import random
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -205,7 +206,9 @@ def leaky_fixture(scheme, per_bit_s: float = LEAK_PER_BIT_S, weight=None):
 
     The default property is the number of set bits in the decoded message
     (falling back to the element's own bits when it is not a message
-    encoding).  Outputs are untouched; only the elapsed time changes.
+    encoding).  Outputs are untouched; only the elapsed time changes.  The
+    leak is a spin to a deadline, not a sleep, because a sleep can overshoot
+    by milliseconds on a busy host.
     """
 
     def default_weight(element) -> int:
@@ -220,7 +223,6 @@ def leaky_fixture(scheme, per_bit_s: float = LEAK_PER_BIT_S, weight=None):
     class _LeakyScheme:
         name = getattr(scheme, "name", "scheme") + "+leak"
         params = scheme.params
-        leak_per_bit_s = per_bit_s
 
         def keygen(self, rng):
             return scheme.keygen(rng)
@@ -231,7 +233,9 @@ def leaky_fixture(scheme, per_bit_s: float = LEAK_PER_BIT_S, weight=None):
         def decrypt(self, sk, ct):
             result = scheme.decrypt(sk, ct)
             if result is not REJECT:
-                time.sleep(per_bit_s * weight_fn(result))
+                deadline = time.perf_counter_ns() + int(per_bit_s * weight_fn(result) * 1e9)
+                while time.perf_counter_ns() < deadline:
+                    pass
             return result
 
         def maul(self, ct, factor):
@@ -394,7 +398,9 @@ class TimingDictionaryAdversary:
 
     Phase 1 encrypts proxy messages (same bit-weight classes as its
     candidates, never the candidates themselves) and measures the oracle's
-    answer times; the guess is nearest class mean to the challenge time.
+    answer times; the guess is the class whose median time is nearest the
+    challenge time.  The median, unlike the mean, ignores one host stall
+    among a class's samples.
     """
 
     name = "timedict"
@@ -402,7 +408,7 @@ class TimingDictionaryAdversary:
     def __init__(self, ctx: AdversaryContext, samples_per_class: int = 4):
         self.ctx = ctx
         self.samples_per_class = samples_per_class
-        self.means: dict[int, float] | None = None
+        self.medians: dict[int, float] | None = None
         k = ctx.message_length
         self.m0 = bytes(k)  # all-zero bits
         self.m1 = b"\xff" * k  # all-one bits
@@ -416,8 +422,7 @@ class TimingDictionaryAdversary:
     def phase1(self, oracle) -> None:
         if self.ctx.element_mode:
             return  # weight classes need byte payloads; degrade to coin flips
-        sums = {0: 0.0, 1: 0.0}
-        counts = {0: 0, 1: 0}
+        times: dict[int, list[int]] = {0: [], 1: []}
         for bit, proxy in self._proxies().items():
             element = self.ctx.encode(proxy)
             for _ in range(self.samples_per_class):
@@ -425,10 +430,9 @@ class TimingDictionaryAdversary:
                 reply = oracle(ct)
                 if reply.value is REFUSED or reply.time_ns is None:
                     continue
-                sums[bit] += reply.time_ns
-                counts[bit] += 1
-        if counts[0] and counts[1]:
-            self.means = {bit: sums[bit] / counts[bit] for bit in (0, 1)}
+                times[bit].append(reply.time_ns)
+        if times[0] and times[1]:
+            self.medians = {bit: statistics.median(times[bit]) for bit in (0, 1)}
 
     def choose(self) -> tuple[bytes, bytes]:
         if self.ctx.element_mode:
@@ -440,10 +444,10 @@ class TimingDictionaryAdversary:
         return self.m0, self.m1
 
     def guess(self, challenge: Challenge, oracle) -> int:
-        if self.means is None or challenge.time_ns is None:
+        if self.medians is None or challenge.time_ns is None:
             return self.ctx.rng.getrandbits(1)
-        d0 = abs(challenge.time_ns - self.means[0])
-        d1 = abs(challenge.time_ns - self.means[1])
+        d0 = abs(challenge.time_ns - self.medians[0])
+        d1 = abs(challenge.time_ns - self.medians[1])
         if d0 == d1:
             return self.ctx.rng.getrandbits(1)
         return 0 if d0 < d1 else 1
@@ -590,14 +594,13 @@ def run_ind_cca2_scta(
     adversary_factory,
     timing_mode: str,
     config: GameConfig,
-    budget: fixed_time.TimeBudget | None = None,
 ) -> GameResult:
     """The chosen-ciphertext experiment with a timing oracle.
 
     LEAKY mode exposes the planted decryption leak; FIXED mode runs the
-    same leaky scheme under a worst-case fixed-time budget (calibrated here
-    when none is supplied).  Sampled channel delay is added to every
-    reported time; it is independent of the challenge bit by construction.
+    same leaky scheme under a worst-case fixed-time budget calibrated here.
+    Sampled channel delay is added to every reported time; it is
+    independent of the challenge bit by construction.
     Timing experiments should run single-threaded; config.pin_cpu
     additionally pins the process to one CPU where the platform allows.
     """
@@ -605,9 +608,9 @@ def run_ind_cca2_scta(
         raise ParameterError(f"timing_mode must be '{LEAKY}' or '{FIXED}'")
 
     setup_rng = random.Random(config.seed ^ 0x5C7A)
-    leaky = scheme if getattr(scheme, "leak_per_bit_s", None) is not None else leaky_fixture(scheme)
+    leaky = leaky_fixture(scheme)
     capacity = max_message_length(leaky.params)
-    if timing_mode == FIXED and budget is None and capacity < 1:
+    if timing_mode == FIXED and capacity < 1:
         raise ParameterError(
             "fixed-mode calibration needs a group large enough for byte messages"
         )
@@ -630,7 +633,7 @@ def run_ind_cca2_scta(
         return timed
 
     with _pinned_cpu(config.pin_cpu):
-        if timing_mode == FIXED and budget is None:
+        if timing_mode == FIXED:
             budget = calibrate_scta_budget(leaky, leaky.params, message_length, rng=setup_rng)
         return _run_trials(leaky, adversary_factory, config, timer_factory=timer_factory)
 
@@ -640,7 +643,6 @@ def calibrate_scta_budget(
     params: GroupParams,
     message_length: int,
     rng: random.Random | None = None,
-    n_samples: int = 30,
     safety_factor: float = 1.5,
 ) -> fixed_time.TimeBudget:
     """Worst-case budget for the timing game's padded decryption.
@@ -654,5 +656,5 @@ def calibrate_scta_budget(
     ct = leaky_scheme.encrypt(pk, worst, rng)
     op_class = fixed_time.OpClass(name="scta.decrypt", input_length=message_length)
     return fixed_time.calibrate(
-        op_class, lambda: leaky_scheme.decrypt(sk, ct), n_samples=n_samples, safety_factor=safety_factor
+        op_class, lambda: leaky_scheme.decrypt(sk, ct), n_samples=30, safety_factor=safety_factor
     )

@@ -187,16 +187,11 @@ def key_exchange_receive(
     return records.derive_session_keys(material)
 
 
-def calibrate_decrypt_budget(
-    entry: KeyEntry,
-    rng: random.Random | None = None,
-    n_samples: int = 30,
-    safety_factor: float = 1.5,
-) -> fixed_time.TimeBudget:
+def calibrate_decrypt_budget(entry: KeyEntry) -> fixed_time.TimeBudget:
     """Worst-case budget for unwrapping key material under this entry's key."""
     if entry.secret is None:
         raise ParameterError(f"key {entry.kid} has no secret half to calibrate with")
-    rng = rng or random.Random(0xC0DEC)
+    rng = random.Random(0xC0DEC)
     material = rng.randbytes(records.KEY_MATERIAL_LEN)
     element = cramer_shoup.encode_message(material, entry.params)
     ct = cramer_shoup.encrypt_with_rng(entry.public, element, rng)
@@ -205,8 +200,8 @@ def calibrate_decrypt_budget(
     return fixed_time.calibrate(
         op_class,
         lambda: cramer_shoup.decrypt(entry.secret, entry.params, ct),
-        n_samples=n_samples,
-        safety_factor=safety_factor,
+        n_samples=30,
+        safety_factor=1.5,
     )
 
 
@@ -543,8 +538,9 @@ class _Node:
             return self.decrypt_budget
         with self._budget_lock:
             if entry.kid not in self._budget_cache:
-                log.info("calibrating fixed-time decrypt budget for key %s", entry.kid)
-                self._budget_cache[entry.kid] = calibrate_decrypt_budget(entry)
+                budget = calibrate_decrypt_budget(entry)
+                log.info("fixed-time decrypt budget for key %s: %.1f ms", entry.kid, budget.budget_ns / 1e6)
+                self._budget_cache[entry.kid] = budget
             return self._budget_cache[entry.kid]
 
 

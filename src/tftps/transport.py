@@ -263,6 +263,7 @@ def run_scenario(
     outcome = "DONE" if not payloads else None
     datagram_index = 0
     retransmissions = 0
+    live_timer = None  # index of the DATA datagram whose timer may still fire
 
     # Event heap entries: (time, tiebreak, kind, payload...)
     events: list = []
@@ -274,7 +275,7 @@ def run_scenario(
     def record(t: float, direction: str, kind, seq, event: str) -> None:
         trace.append({"t": round(t, 9), "direction": direction, "kind": kind, "seq": seq, "event": event})
 
-    def transmit(t: float, direction: str, frame: arq.Frame) -> None:
+    def transmit(t: float, direction: str, frame: arq.Frame) -> int:
         nonlocal datagram_index
         idx = datagram_index
         datagram_index += 1
@@ -284,24 +285,25 @@ def run_scenario(
         record(t, direction, kind_name, frame.seq, "send")
         if action == "drop":
             record(t, direction, kind_name, frame.seq, "drop")
-            return
+            return idx
         if action == "corrupt":
             wire = flip_random_bit(wire, rng)
             record(t, direction, kind_name, frame.seq, "corrupt")
         schedule(t + propagation_delay, "deliver_b" if direction == "a->b" else "deliver_a", wire)
+        return idx
 
     upcoming = iter(payloads)
 
     def step_sender(t: float, event) -> None:
         """Feed the sender one event; on Done, send the next payload or finish."""
-        nonlocal sender, outcome, retransmissions
+        nonlocal sender, outcome, retransmissions, live_timer
         sender, actions = arq.sender_step(sender, event)
         for action in actions:
             if isinstance(action, arq.EmitFrame):
                 if sender.retries > 0:
                     retransmissions += 1
-                transmit(t, "a->b", action.frame)
-                schedule(t + timeout, "timer", (action.frame.seq, sender.retries))
+                live_timer = transmit(t, "a->b", action.frame)
+                schedule(t + timeout, "timer", live_timer)
             elif isinstance(action, arq.Done):
                 payload = next(upcoming, None)
                 if payload is not None:
@@ -320,9 +322,8 @@ def run_scenario(
     while events and outcome is None:
         t, _, kind, item = heapq.heappop(events)
         if kind == "timer":
-            seq, retries_at_emit = item
-            if sender.pending is not None and sender.seq == seq and sender.retries == retries_at_emit:
-                record(t, "a->b", "DATA", seq, "timeout")
+            if item == live_timer and sender.pending is not None:
+                record(t, "a->b", "DATA", sender.seq, "timeout")
                 step_sender(t, arq.Timeout())
         elif kind == "deliver_b":
             try:

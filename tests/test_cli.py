@@ -1,7 +1,9 @@
+import argparse
 import json
 import random
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -73,32 +75,13 @@ class TestGames:
         )
         assert code == cli.EXIT_ASSERTION
 
-    def test_fixed_mode_requires_calibration(self, tmp_path, capsys):
-        code = run_cli(
-            "games", "--game", "scta", "--mode", "fixed", "--adversary", "timedict",
-            "--trials", "30", "--bits", "64", "--calibration", str(tmp_path / "none.txt"),
-        )
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "calibrate" in err
-
-    def test_calibrate_then_fixed_mode(self, tmp_path, capsys):
-        calibration = tmp_path / "cal.txt"
-        code = run_cli(
-            "calibrate", "--ops", "scta.decrypt", "--bits", "64", "--message-length", "4",
-            "--samples", "30", "--factor", "1.5", "--seed", "0", "--out", str(calibration),
-        )
-        assert code == 0
-        assert "scta.decrypt:4=" in calibration.read_text()
-        capsys.readouterr()
+    def test_fixed_mode_calibrates_in_process(self, capsys):
         code = run_cli(
             "games", "--game", "scta", "--mode", "fixed", "--adversary", "timedict",
             "--trials", "40", "--bits", "64", "--message-length", "4", "--seed", "1",
-            "--calibration", str(calibration),
         )
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["mode"] == "fixed"
+        assert json.loads(capsys.readouterr().out)["mode"] == "fixed"
 
     def test_transcript_dump(self, tmp_path, capsys):
         transcript = tmp_path / "trials.jsonl"
@@ -109,25 +92,6 @@ class TestGames:
         lines = transcript.read_text().splitlines()
         assert len(lines) == 40
         assert all("correct" in json.loads(line) for line in lines)
-
-
-class TestCalibrate:
-    def test_writes_budget_lines(self, tmp_path, capsys):
-        out = tmp_path / "cal.txt"
-        code = run_cli(
-            "calibrate", "--ops", "cs.encrypt,cs.decrypt", "--bits", "1024",
-            "--samples", "30", "--factor", "1.0", "--seed", "2", "--out", str(out),
-        )
-        assert code == 0
-        text = out.read_text()
-        assert "cs.encrypt:" in text and "cs.decrypt:" in text
-
-    def test_decrypt_calibration_needs_room_for_key_material(self, tmp_path):
-        code = run_cli("calibrate", "--ops", "cs.decrypt", "--bits", "64", "--out", str(tmp_path / "c.txt"))
-        assert code == cli.EXIT_CONFIG
-
-    def test_unknown_op(self, tmp_path):
-        assert run_cli("calibrate", "--ops", "rsa.sign", "--out", str(tmp_path / "c.txt")) == cli.EXIT_USAGE
 
 
 class TestSimulate:
@@ -245,6 +209,16 @@ class TestServe:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run_cli("fly") == cli.EXIT_USAGE
+
+    def test_calibrate_is_not_a_subcommand(self, capsys):
+        assert run_cli("calibrate") == cli.EXIT_USAGE
+
+    def test_readme_cli_block_lists_exactly_the_subcommands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+        listed = {line.split()[1] for line in block.splitlines() if line.startswith("tftps ")}
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert listed == set(subparsers.choices)
 
     def test_missing_required_flag(self, capsys):
         assert run_cli("put", "nonexistent.bin") == cli.EXIT_USAGE

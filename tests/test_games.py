@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,8 +8,12 @@ from tftps.cramer_shoup import REJECT
 from tftps.games import (
     FIXED,
     LEAKY,
+    AdversaryContext,
+    Challenge,
     GameConfig,
+    OracleReply,
     RandomGuessAdversary,
+    TimingDictionaryAdversary,
     calibrate_scta_budget,
     estimate_advantage,
     game_params,
@@ -184,6 +189,20 @@ class TestLeakyFixture:
                 wins += 1
         assert wins >= 0.95 * pairs
 
+    def test_leak_spins_and_never_sleeps(self, params_256, monkeypatch):
+        base = make_scheme("cs", params_256)
+        leaky = leaky_fixture(base, per_bit_s=50e-6)
+        rng = random.Random(19)
+        pk, sk = base.keygen(rng)
+        heavy = base.encrypt(pk, base.encode(b"\xff" * 8), rng)
+
+        def no_sleep(seconds):
+            raise AssertionError("the planted leak slept")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        _, sample = fixed_time.observe(lambda: leaky.decrypt(sk, heavy))
+        assert sample.elapsed_ns >= 64 * 50_000
+
     def test_padding_flattens_the_same_comparison(self, params_256):
         base = make_scheme("cs", params_256)
         leaky = leaky_fixture(base, per_bit_s=50e-6)
@@ -200,6 +219,20 @@ class TestLeakyFixture:
             if t_light < t_heavy:
                 wins += 1
         assert 0.15 * pairs <= wins <= 0.85 * pairs
+
+
+class TestTimingDictionaryAdversary:
+    def test_one_stall_does_not_flip_the_dictionary(self, params_256):
+        scheme = make_scheme("cs", params_256)
+        pk, _ = scheme.keygen(random.Random(20))
+        ctx = AdversaryContext(scheme=scheme, params=params_256, pk=pk, rng=random.Random(21), message_length=12)
+        adversary = TimingDictionaryAdversary(ctx)
+        ms = 1_000_000
+        # phase 1 asks 4 light proxies, then 4 heavy ones; one light answer stalls 20 ms
+        times = iter([1 * ms, 1 * ms, 20 * ms, 1 * ms, 5 * ms, 5 * ms, 5 * ms, 5 * ms])
+        adversary.phase1(lambda ct: OracleReply(value=1, time_ns=next(times)))
+        assert next(times, None) is None
+        assert adversary.guess(Challenge(ciphertext=None, time_ns=1 * ms), oracle=None) == 0
 
 
 class TestScta:

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import logging
 import os
 import random
 import threading
@@ -249,6 +250,15 @@ class TestEndToEnd:
             summary = client.put(data, server.address, "padded.bin", SecurityOptions(kid=entry.kid))
             assert summary.ok
             assert (tmp_path / "padded.bin").read_bytes() == data
+
+    def test_warm_up_logs_each_budget_in_ms(self, tmp_path, keystore, caplog):
+        store, entry = keystore
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store, decrypt_budget="auto") as server:
+            with caplog.at_level(logging.INFO, logger="tftps.tftp"):
+                server.warm_up()
+            budget_ms = server._budget_cache[entry.kid].budget_ns / 1e6
+        assert f"fixed-time decrypt budget for key {entry.kid}: {budget_ms:.1f} ms" in caplog.text
 
 
 class TestFailureModes:

@@ -197,9 +197,17 @@ class TestRunScenario:
             assert [d[0] for d in result.delivered] == delivered
             assert result.datagrams_sent == datagrams
 
+    def test_acknowledged_frames_timer_never_fires_for_a_later_frame(self):
+        # seq_bits=1: DATA 0 is sent at 0.0 and again, for the third payload,
+        # at 0.004; only the second emission's own deadline may time it out.
+        result = run_scenario([b"a", b"b", b"c"], {4: "drop"}, seq_bits=1, timeout=0.5)
+        timeouts = [(e["seq"], e["t"]) for e in result.trace if e["event"] == "timeout"]
+        assert timeouts == [(0, 0.504)]
+        assert result.delivered == [b"a", b"b", b"c"]
+
     # SHA-256 over trace_to_jsonl of every drop-only script below (208 runs),
-    # computed when run_scenario still queued every payload up front.
-    DROP_ONLY_TRACES_SHA256 = "b65b700388f95d8760cf4c70e0d38585edb1fdcbe3353b793902614d0a51ef12"
+    # computed once each retransmission timer was keyed to its own emission.
+    DROP_ONLY_TRACES_SHA256 = "aa104ecbbb971396c9511fbff82617c0b3e364b01cd76e61960283e3faad5dcc"
 
     def test_drop_only_traces_are_pinned(self):
         digest = hashlib.sha256()
