@@ -107,7 +107,9 @@ def encrypt(pk: CsPublicKey, m: int, r: int) -> CsCiphertext:
     u2 = mod_exp(params.g2, r, p)
     e = mod_exp(pk.h, r, p) * m % p
     alpha = hash_to_scalar(u1, u2, e, q)
-    v = mod_exp(pk.c, r, p) * mod_exp(pk.d, r * alpha % q, p) % p
+    # c^r * d^(r*alpha) = (c * d^alpha)^r: d^alpha takes a 256-bit exponent
+    # instead of a full-length one, and the ciphertext is the same.
+    v = mod_exp(pk.c * mod_exp(pk.d, alpha, p) % p, r, p)
     return CsCiphertext(u1=u1, u2=u2, e=e, v=v)
 
 

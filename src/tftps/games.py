@@ -634,13 +634,12 @@ def run_ind_cca2_scta(
 
     with _pinned_cpu(config.pin_cpu):
         if timing_mode == FIXED:
-            budget = calibrate_scta_budget(leaky, leaky.params, message_length, rng=setup_rng)
+            budget = calibrate_scta_budget(leaky, message_length, rng=setup_rng)
         return _run_trials(leaky, adversary_factory, config, timer_factory=timer_factory)
 
 
 def calibrate_scta_budget(
     leaky_scheme,
-    params: GroupParams,
     message_length: int,
     rng: random.Random | None = None,
     safety_factor: float = 1.5,

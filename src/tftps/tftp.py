@@ -21,10 +21,17 @@ Its wait() is the one receive loop: the awaited packet gets one timeout,
 and other packets are answered but do not restart the timer.  exchange()
 resends a request, OACK or ACK 0 on each timeout and gives up after
 max_retries; DATA blocks are retransmitted by the arq sender.
+
+The receiving side of a transfer (a client get, a server write) ends when
+its final ACK is sent, as RFC 1350 section 6 allows.  Its endpoint goes to
+the node's dallier, one background thread that re-sends the final ACK for
+any DATA from the peer for one timeout, in case that ACK was lost, and then
+closes the endpoint.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import logging
@@ -59,6 +66,9 @@ PLAINTEXT_PER_BLOCK = BLOCK_SIZE - records.RECORD_OVERHEAD  # 456 octets
 KEYSTORE_ENV = "TFTPS_KEYSTORE"
 
 _DEFAULT_RNG = random.SystemRandom()
+
+# Endpoints one dallier holds at once; when it is full the oldest is closed early.
+_DALLY_SLOTS = 8
 
 
 SECURITY_FAILURE = Sentinel("SECURITY_FAILURE")
@@ -247,6 +257,7 @@ class _Session:
 
     def __init__(self, node: "_Node", peer, summary: TransferSummary, stop=None):
         self.endpoint = node.network.endpoint()
+        self.dallier = node._dallier
         self.peer = peer
         self.timeout = node.timeout
         self.max_retries = node.max_retries
@@ -260,7 +271,9 @@ class _Session:
 
         The phases start at NEGOTIATE and end at DONE when the body returns,
         or at FAILED when it aborts, whose code and message the summary
-        keeps.  Either way the endpoint is closed and elapsed_s is set.
+        keeps.  Either way elapsed_s is set.  The endpoint is closed, unless
+        the session received a transfer to its end: then it goes to the
+        node's dallier with the final ACK.
         """
         summary = self.summary
         started = time.monotonic()
@@ -277,8 +290,11 @@ class _Session:
                 summary.error_code = abort.code
             summary.phases.append(Phase.FAILED)
         finally:
-            self.endpoint.close()
             summary.elapsed_s = time.monotonic() - started
+            if summary.ok and self.last_ack is not None:
+                self.dallier.hand_over(self.endpoint, self.peer, self.last_ack, self.timeout)
+            else:
+                self.endpoint.close()
 
     def enter_phase(self, phase: str) -> None:
         phases = self.summary.phases
@@ -435,6 +451,8 @@ class _Session:
         every later block is a sealed record; without, blocks are raw data.
         on_final(data) runs before the final block is acknowledged, so a
         sender that sees the last ACK knows the payload was persisted.
+        Returns once the final ACK is sent; if that ACK is lost, the node's
+        dallier answers the resent final block after the session has ended.
         """
         receiver = arq.new_receiver(seq_bits=16, start_seq=1)
         keys: records.SessionKeys | None = None
@@ -498,23 +516,81 @@ class _Session:
             nudge = prompt if receiver.last_acked is None else None
             finished = self.exchange(nudge, take, "peer silent, retries exhausted")
         self.summary.bytes_transferred = len(out)
-        self.dally()
         return bytes(out)
 
-    def dally(self) -> None:
-        """Re-acknowledge retransmitted final blocks for one timeout slice."""
-        deadline = time.monotonic() + self.timeout
-        while time.monotonic() < deadline:
-            result = self.endpoint.recv(max(deadline - time.monotonic(), 0.001))
-            if result is TIMEOUT:
+
+class _Dallier:
+    """Re-acknowledges lost final ACKs for the finished sessions of one node.
+
+    Each handed-over endpoint is held for one timeout: DATA from its peer is
+    answered with the session's final ACK, then the endpoint is closed.  One
+    thread serves all of them.  It starts with the first hand-over, ends once
+    it holds nothing, and is not a daemon, so a process that exits right
+    after a get still answers a lost final ACK.  It waits only in
+    endpoint.recv, on each held endpoint in turn for timeout / 2 divided
+    among them, so a resent final block is answered within timeout / 2.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._held: collections.deque[tuple] = collections.deque()  # (deadline, endpoint, peer, ack, timeout)
+        self._listening: tuple | None = None  # the item whose endpoint the thread is in recv on
+        self._thread: threading.Thread | None = None
+        self._running = False
+
+    def hand_over(self, endpoint, peer, ack: bytes, timeout: float) -> None:
+        with self._lock:
+            if len(self._held) == _DALLY_SLOTS:
+                oldest = self._held.popleft()
+                if oldest is not self._listening:
+                    oldest[1].close()  # else the thread closes it when its recv returns
+            self._held.append((time.monotonic() + timeout, endpoint, peer, ack, timeout))
+            if not self._running:
+                if self._thread is not None:
+                    self._thread.join()  # it has left its loop; only its return remains
+                self._running = True
+                self._thread = threading.Thread(target=self._run, name="tftps-dallier")
+                self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            with self._lock:
+                if not self._held:
+                    self._running = False
+                    return
+                held = list(self._held)
+            for item in held:
+                self._listen(item, len(held))
+
+    def _listen(self, item: tuple, shares: int) -> None:
+        """Answer DATA on one held endpoint for its share of the round; close it once evicted or expired."""
+        deadline, endpoint, peer, ack, timeout = item
+        with self._lock:
+            if item not in self._held:
                 return
-            data, src = result
-            if src == self.peer and self.last_ack is not None:
-                try:
-                    if isinstance(decode_packet(data), DataPacket):
-                        self.endpoint.send(self.last_ack, self.peer)
-                except packets.MalformedPacketError:
-                    pass
+            self._listening = item
+        until = min(deadline, time.monotonic() + timeout / 2 / shares)
+        try:
+            # Past the deadline this still reads once, so DATA that came in
+            # while the thread listened elsewhere is answered before closing.
+            while (result := endpoint.recv(max(until - time.monotonic(), 0.0))) is not TIMEOUT:
+                data, src = result
+                with contextlib.suppress(packets.MalformedPacketError):
+                    if src == peer and isinstance(decode_packet(data), DataPacket):
+                        endpoint.send(ack, peer)
+                if time.monotonic() >= until:
+                    break
+        except OSError:
+            pass  # a failed socket has nothing left to answer; it is closed below at its deadline
+        finally:
+            with self._lock:
+                self._listening = None
+                done = item not in self._held  # evicted while the thread listened
+                if not done and time.monotonic() >= deadline:
+                    self._held.remove(item)
+                    done = True
+                if done:
+                    endpoint.close()
 
 
 class _Node:
@@ -530,6 +606,7 @@ class _Node:
         self.decrypt_budget = decrypt_budget
         self._budget_cache: dict[str, fixed_time.TimeBudget] = {}
         self._budget_lock = threading.Lock()
+        self._dallier = _Dallier()
 
     def _budget_for(self, entry: KeyEntry) -> fixed_time.TimeBudget | None:
         if self.decrypt_budget is None:
@@ -691,7 +768,7 @@ class TftpServer(_Node):
         self.root = Path(root)
         self.policy = policy or TransferPolicy()
         self.endpoint = network.endpoint(port) if port is not None else network.endpoint()
-        self.session_logs: list[SessionLog] = []
+        self.session_logs: collections.deque[SessionLog] = collections.deque(maxlen=1024)
         self._log_lock = threading.Lock()
         # Live session threads by (source address, request datagram).
         self._threads: dict[tuple[object, bytes], threading.Thread] = {}

@@ -145,7 +145,7 @@ def test_criterion_07_fixed_time_property(params_256):
     leaky = games.leaky_fixture(base)
     pk, sk = leaky.keygen(rng)
     k = 12
-    budget = games.calibrate_scta_budget(leaky, params_256, k, rng=rng, safety_factor=1.5)
+    budget = games.calibrate_scta_budget(leaky, k, rng=rng, safety_factor=1.5)
     light_ct = leaky.encrypt(pk, leaky.encode(bytes(k)), rng)
     heavy_ct = leaky.encrypt(pk, leaky.encode(b"\xff" * k), rng)
 

@@ -117,6 +117,19 @@ class TestEncrypt:
         pk, _ = keygen(desk_params, random.Random(17))
         assert encrypt(pk, 9, 7) == encrypt(pk, 9, 7)
 
+    def test_four_full_length_exponentiations_and_one_short(self, params_1024):
+        # v = (c * d^alpha)^r: the hash scalar alpha is the only short exponent.
+        rng = random.Random(18)
+        pk, _ = keygen(params_1024, rng)
+        m = random_subgroup_element(params_1024, rng)
+        r = params_1024.q - 1
+        with trace_operations() as trace:
+            encrypt(pk, m, r)
+        bits = sorted(exponent_bits for _, exponent_bits, _ in trace)
+        assert len(bits) == 5
+        assert bits[0] <= 256
+        assert bits[1:] == [r.bit_length()] * 4
+
 
 class TestDecrypt:
     def test_roundtrip_many_desk(self, desk_params):

@@ -208,7 +208,7 @@ class TestLeakyFixture:
         leaky = leaky_fixture(base, per_bit_s=50e-6)
         rng = random.Random(12)
         pk, sk = base.keygen(rng)
-        budget = calibrate_scta_budget(leaky, params_256, 8, rng=rng)
+        budget = calibrate_scta_budget(leaky, 8, rng=rng)
         light = base.encrypt(pk, base.encode(bytes(8)), rng)
         heavy = base.encrypt(pk, base.encode(b"\xff" * 8), rng)
         wins = 0

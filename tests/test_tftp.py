@@ -3,6 +3,7 @@ import hashlib
 import logging
 import os
 import random
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -30,11 +31,13 @@ from tftps.packets import (
     encode_packet,
 )
 from tftps.tftp import (
+    _DALLY_SLOTS,
     PLAINTEXT_PER_BLOCK,
     SECURITY_FAILURE,
     KeyStore,
     TftpClient,
     TftpServer,
+    _Dallier,
     key_exchange_receive,
     key_exchange_send,
 )
@@ -510,6 +513,183 @@ class TestResourceBounds:
                 assert client.put(b"x" * 100, server.address, f"f{i}.bin", None).ok
                 assert wait_for(lambda: len(server.session_logs) == i + 1)
             assert len(server._threads) <= 2
+
+
+    def test_session_logs_keep_the_newest_1024(self, tmp_path, keystore):
+        store, _ = keystore
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            probe = net.endpoint()
+            for i in range(1100):
+                name = f"f{i}.txt"
+                probe.send(encode_packet(WriteRequest(name, "netascii")), server.address)
+                reply = probe.recv(5.0)
+                assert reply is not TIMEOUT and isinstance(decode_packet(reply[0]), ErrorPacket)
+                deadline = time.monotonic() + 5.0
+                while not (server.session_logs and server.session_logs[-1].filename == name):
+                    assert time.monotonic() < deadline, f"no session log for {name}"
+                    time.sleep(0.0005)
+        assert len(server.session_logs) == 1024
+        assert server.session_logs[0].filename == "f76.txt"
+        assert server.session_logs[-1].filename == "f1099.txt"
+        assert all(log.summary.status == "FAILED" for log in server.session_logs)
+
+
+class TestDally:
+    """A receiving session ends at its final ACK; the node's dallier answers a lost one."""
+
+    def test_lost_final_ack_is_answered_after_get_returns(self, tmp_path, keystore):
+        store, entry = keystore
+        data = random.Random(50).randbytes(1000)
+        (tmp_path / "fw.bin").write_bytes(data)
+        keyblocks = len(key_exchange_send(entry.public, random.Random(0))[1])
+        final = keyblocks + len(data) // PLAINTEXT_PER_BLOCK + 1
+        # The server resends after 0.5 s, well inside the client's 1 s dally:
+        # with equal timeouts the resend races the dally's end.
+        server_timeout, client_timeout = 0.5, 1.0
+        net = SimulatedNetwork(ChannelModel())
+        sent_final_data, sent_final_acks = [], []
+        transmit = net.transmit
+
+        def drop_first_final_ack(src, dst, datagram):
+            packet = decode_packet(datagram)
+            if isinstance(packet, DataPacket) and packet.block == final:
+                sent_final_data.append(time.monotonic())
+            elif isinstance(packet, AckPacket) and packet.block == final:
+                sent_final_acks.append(time.monotonic())
+                if len(sent_final_acks) == 1:
+                    return  # lost on the wire
+            transmit(src, dst, datagram)
+
+        net.transmit = drop_first_final_ack
+        with running_server(net, tmp_path, store, timeout=server_timeout) as server:
+            client = TftpClient(net, store, rng=random.Random(51), timeout=client_timeout, decrypt_budget=None)
+            fetched, summary = client.get("fw.bin", server.address, SecurityOptions(kid=entry.kid))
+            returned = time.monotonic()
+            assert summary.ok and fetched == data
+            assert wait_for(lambda: len(server.session_logs) == 1)
+            assert server.session_logs[0].summary.status == "DONE"
+        assert len(sent_final_data) >= 2 and len(sent_final_acks) >= 2
+        assert returned < sent_final_data[1], "get waited for the sender's retransmission"
+        assert 0 <= sent_final_acks[1] - sent_final_data[1] < client_timeout / 2
+
+    def test_lossless_get_returns_well_inside_one_timeout(self, tmp_path, keystore):
+        store, entry = keystore
+        data = random.Random(52).randbytes(4096)
+        (tmp_path / "boot.img").write_bytes(data)
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store, timeout=2.0) as server:
+            client = TftpClient(net, store, rng=random.Random(53), timeout=2.0, decrypt_budget=None)
+            started = time.monotonic()
+            fetched, summary = client.get("boot.img", server.address, SecurityOptions(kid=entry.kid))
+            elapsed = time.monotonic() - started
+        assert summary.ok and fetched == data
+        assert elapsed < 1.0 and summary.elapsed_s < 1.0
+
+    def test_server_write_session_ends_at_its_final_ack(self, tmp_path, keystore):
+        store, entry = keystore
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store, timeout=2.0) as server:
+            client = TftpClient(net, store, rng=random.Random(54), timeout=2.0, decrypt_budget=None)
+            assert client.put(b"x" * 1000, server.address, "up.bin", SecurityOptions(kid=entry.kid)).ok
+            assert wait_for(lambda: len(server.session_logs) == 1, timeout=1.0)
+            assert server.session_logs[0].summary.ok
+
+    def test_back_to_back_gets_share_one_dallier_that_closes_every_endpoint(self, tmp_path, keystore):
+        store, entry = keystore
+        (tmp_path / "boot.img").write_bytes(b"x" * 1000)
+        timeout = 1.0
+        net = SimulatedNetwork(ChannelModel())
+        made = []
+
+        class RecordingNetwork:
+            def endpoint(self, port=None):
+                made.append(net.endpoint(port))
+                return made[-1]
+
+        with running_server(net, tmp_path, store, timeout=timeout) as server:
+            client = TftpClient(RecordingNetwork(), store, rng=random.Random(55), timeout=timeout, decrypt_budget=None)
+            before = set(threading.enumerate())
+            dalliers = set()
+            returned = []
+            for _ in range(10):
+                fetched, summary = client.get("boot.img", server.address, SecurityOptions(kid=entry.kid))
+                returned.append(time.monotonic())
+                assert summary.ok and fetched == b"x" * 1000
+                dalliers |= {t for t in threading.enumerate() if t.name == "tftps-dallier" and t not in before}
+            assert len(dalliers) == 1  # one thread for the client node, none started per get
+            assert len(made) == 10
+            for endpoint, at in zip(made, returned):
+                assert wait_for(lambda: endpoint.closed, at + timeout + 0.5 - time.monotonic())
+            (dallier,) = dalliers
+            dallier.join(timeout=1.0)
+            assert not dallier.is_alive()  # it ends once it holds nothing
+
+    def test_concurrent_hand_overs_close_every_endpoint_once(self):
+        """Four threads hand over 200 endpoints; the dallier never reads a closed one."""
+        timeout = 0.05
+        lock = threading.Lock()
+        errors, listening = [], []
+
+        class FakeEndpoint:
+            def __init__(self):
+                self.closes = 0
+                self.in_recv = False
+
+            def recv(self, seconds):
+                with lock:
+                    if self.closes:
+                        errors.append("recv on a closed endpoint")
+                    self.in_recv = True
+                    listening.append(self)
+                    if len(listening) > 1:
+                        errors.append("two recvs at once")
+                threading.Event().wait(seconds)
+                with lock:
+                    self.in_recv = False
+                    listening.remove(self)
+                return TIMEOUT
+
+            def send(self, data, dst):
+                errors.append("answered silence")
+
+            def close(self):
+                with lock:
+                    if self.in_recv:
+                        errors.append("closed during recv")
+                    self.closes += 1
+
+        dallier = _Dallier()
+        batches = [[FakeEndpoint() for _ in range(50)] for _ in range(4)]
+
+        def hand_over_all(endpoints, rng):
+            for i, endpoint in enumerate(endpoints):
+                dallier.hand_over(endpoint, 1, b"ack", timeout)
+                if len(dallier._held) > _DALLY_SLOTS:
+                    errors.append("held more than its slots")
+                if i % 10 == 9:
+                    time.sleep(rng.random() * 2 * timeout)  # let it drain and stop now and then
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hand_over_all, args=(batch, random.Random(n)))
+                for n, batch in enumerate(batches)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            endpoints = [endpoint for batch in batches for endpoint in batch]
+            assert wait_for(lambda: all(endpoint.closes for endpoint in endpoints))
+            dallier._thread.join(timeout=5)
+            assert not dallier._thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert [endpoint.closes for endpoint in endpoints] == [1] * 200
 
 
 class TestLiveness:
