@@ -194,7 +194,7 @@ def _security_options(args, keystore: tftp.KeyStore) -> SecurityOptions | None:
             raise CliError(EXIT_CONFIG, "--sec needs --kid when the keystore holds multiple keys")
     if keystore.get(kid) is None:
         raise CliError(EXIT_CONFIG, f"key {kid!r} not found in keystore")
-    return SecurityOptions(scheme=args.sec, kid=kid)
+    return SecurityOptions(kid=kid)
 
 
 def _summary_json(summary: tftp.TransferSummary, extra: dict | None = None) -> dict:
@@ -412,8 +412,7 @@ def build_parser() -> _Parser:
         p.add_argument("--server", required=True, help="host:port")
         p.add_argument("--keystore", help=f"key directory/file (or ${tftp.KEYSTORE_ENV})")
         p.add_argument("--key-file", action="append", help="extra key file(s)")
-        p.add_argument("--sec", nargs="?", const=packets.SEC_SCHEME, default=None,
-                       help="enable security (scheme tag, default cs1)")
+        p.add_argument("--sec", action="store_true", help="wrap the transfer with cs1 security")
         p.add_argument("--kid", help="recipient/own key identifier")
         p.add_argument("--seed", type=int, help="deterministic randomness")
         p.add_argument("--timeout", type=float, default=0.5)

@@ -54,7 +54,6 @@ class GameConfig:
     security_parameter_bits: int = 256
     seed: int = 0
     query_budget: int = 32
-    negligibility_threshold: float | None = None  # defaults to 3/sqrt(n_trials)
     message_length: int = 16
     channel: ChannelModel | None = None
     params: GroupParams | None = None
@@ -68,8 +67,6 @@ class GameConfig:
 
     @property
     def threshold(self) -> float:
-        if self.negligibility_threshold is not None:
-            return self.negligibility_threshold
         return 3.0 / math.sqrt(self.n_trials)
 
 
@@ -118,11 +115,21 @@ def estimate_advantage(transcripts: list[dict]) -> tuple[float, float]:
 # elements, so the same game loop drives both schemes.
 # ---------------------------------------------------------------------------
 
-class CramerShoupScheme:
-    name = "cs"
+class _Scheme:
+    """The group a scheme works in, and its message encoding."""
 
     def __init__(self, params: GroupParams):
         self.params = params
+
+    def encode(self, data: bytes) -> int:
+        return cramer_shoup.encode_message(data, self.params)
+
+    def decode(self, element: int) -> bytes:
+        return cramer_shoup.decode_message(element, self.params)
+
+
+class CramerShoupScheme(_Scheme):
+    name = "cs"
 
     def keygen(self, rng):
         return cramer_shoup.keygen(self.params, rng)
@@ -139,12 +146,6 @@ class CramerShoupScheme:
     def maul(self, ct: CsCiphertext, factor: int) -> CsCiphertext:
         return CsCiphertext(u1=ct.u1, u2=ct.u2, e=ct.e * factor % self.params.p, v=ct.v)
 
-    def encode(self, data: bytes) -> int:
-        return cramer_shoup.encode_message(data, self.params)
-
-    def decode(self, element: int) -> bytes:
-        return cramer_shoup.decode_message(element, self.params)
-
 
 @dataclass(frozen=True)
 class _EgCiphertext:
@@ -152,7 +153,7 @@ class _EgCiphertext:
     e: int
 
 
-class _ElGamalScheme:
+class _ElGamalScheme(_Scheme):
     """Textbook multiplicative ElGamal in the same subgroup; no validity tag.
 
     Vulnerable control only: accepts mauled ciphertexts, which is exactly
@@ -160,9 +161,6 @@ class _ElGamalScheme:
     """
 
     name = "elgamal"
-
-    def __init__(self, params: GroupParams):
-        self.params = params
 
     def keygen(self, rng):
         z = rng.randrange(self.params.q)
@@ -186,12 +184,6 @@ class _ElGamalScheme:
     def maul(self, ct: _EgCiphertext, factor: int) -> _EgCiphertext:
         return _EgCiphertext(u=ct.u, e=ct.e * factor % self.params.p)
 
-    def encode(self, data: bytes) -> int:
-        return cramer_shoup.encode_message(data, self.params)
-
-    def decode(self, element: int) -> bytes:
-        return cramer_shoup.decode_message(element, self.params)
-
 
 def make_scheme(name: str, params: GroupParams):
     if name == "cs":
@@ -201,51 +193,36 @@ def make_scheme(name: str, params: GroupParams):
     raise ParameterError(f"unknown scheme {name!r}")
 
 
-def leaky_fixture(scheme, per_bit_s: float = LEAK_PER_BIT_S, weight=None):
-    """Wrap a scheme so decryption time grows with a plaintext property.
+def leaky_fixture(scheme, per_bit_s: float = LEAK_PER_BIT_S):
+    """Wrap a scheme so decryption time grows with the plaintext's set bits.
 
-    The default property is the number of set bits in the decoded message
-    (falling back to the element's own bits when it is not a message
-    encoding).  Outputs are untouched; only the elapsed time changes.  The
-    leak is a spin to a deadline, not a sleep, because a sleep can overshoot
-    by milliseconds on a busy host.
+    The bits counted are those of the decoded message (falling back to the
+    element's own bits when it is not a message encoding).  Outputs are
+    untouched; only the elapsed time changes.  The leak is a spin to a
+    deadline, not a sleep, because a sleep can overshoot by milliseconds on
+    a busy host.  Everything but decryption is the wrapped scheme's own.
     """
 
-    def default_weight(element) -> int:
+    def weight(element) -> int:
         try:
             payload = scheme.decode(element)
         except cramer_shoup.EncodingError:
             payload = element.to_bytes((element.bit_length() + 7) // 8 or 1, "big")
         return sum(bin(byte).count("1") for byte in payload)
 
-    weight_fn = weight or default_weight
-
     class _LeakyScheme:
-        name = getattr(scheme, "name", "scheme") + "+leak"
-        params = scheme.params
+        name = scheme.name + "+leak"
 
-        def keygen(self, rng):
-            return scheme.keygen(rng)
-
-        def encrypt(self, pk, element, rng):
-            return scheme.encrypt(pk, element, rng)
+        def __getattr__(self, attr):
+            return getattr(scheme, attr)
 
         def decrypt(self, sk, ct):
             result = scheme.decrypt(sk, ct)
             if result is not REJECT:
-                deadline = time.perf_counter_ns() + int(per_bit_s * weight_fn(result) * 1e9)
+                deadline = time.perf_counter_ns() + int(per_bit_s * weight(result) * 1e9)
                 while time.perf_counter_ns() < deadline:
                     pass
             return result
-
-        def maul(self, ct, factor):
-            return scheme.maul(ct, factor)
-
-        def encode(self, data):
-            return scheme.encode(data)
-
-        def decode(self, element):
-            return scheme.decode(element)
 
     return _LeakyScheme()
 
@@ -267,13 +244,16 @@ class Challenge:
 
 
 class DecryptionOracle:
-    """Phase-aware decryption oracle with query budget and transcript."""
+    """Phase-aware decryption oracle with query budget and transcript.
 
-    def __init__(self, decrypt_fn, budget: int, transcript: list, timer=None):
-        self._decrypt = decrypt_fn
+    ``answer(ct)`` returns ``(value, time_ns)``; the time is None in a game
+    that reports none.
+    """
+
+    def __init__(self, answer, budget: int, transcript: list):
+        self._answer = answer
         self._budget = budget
         self._transcript = transcript
-        self._timer = timer  # callable(ct) -> (value, time_ns) when timing is on
         self.phase = 1
         self.challenge_ct = None
         self.results: list[object] = []
@@ -287,10 +267,7 @@ class DecryptionOracle:
         if self.phase == 2 and ct == self.challenge_ct:
             self._transcript.append({"phase": self.phase, "event": "refused_challenge"})
             return OracleReply(REFUSED)
-        if self._timer is not None:
-            value, time_ns = self._timer(ct)
-        else:
-            value, time_ns = self._decrypt(ct), None
+        value, time_ns = self._answer(ct)
         self._transcript.append(
             {"phase": self.phase, "event": "reject" if value is REJECT else "answered"}
         )
@@ -324,6 +301,14 @@ class AdversaryContext:
         element = random_subgroup_element(self.params, self.rng)
         return element.to_bytes(self.message_length, "big")
 
+    def distinct_messages(self) -> tuple[bytes, bytes]:
+        """Two different random messages, the first drawn first."""
+        first = self.random_message()
+        second = self.random_message()
+        while second == first:
+            second = self.random_message()
+        return first, second
+
 
 # ---------------------------------------------------------------------------
 # Adversaries.  A factory builds one instance per trial; instances implement
@@ -342,11 +327,7 @@ class RandomGuessAdversary:
         pass
 
     def choose(self) -> tuple[bytes, bytes]:
-        m0 = self.ctx.random_message()
-        m1 = self.ctx.random_message()
-        while m1 == m0:
-            m1 = self.ctx.random_message()
-        return m0, m1
+        return self.ctx.distinct_messages()
 
     def guess(self, challenge: Challenge, oracle) -> int:
         return self.ctx.rng.getrandbits(1)
@@ -371,10 +352,7 @@ class MalleabilityAdversary:
         pass
 
     def choose(self) -> tuple[bytes, bytes]:
-        self.m0 = self.ctx.random_message()
-        self.m1 = self.ctx.random_message()
-        while self.m1 == self.m0:
-            self.m1 = self.ctx.random_message()
+        self.m0, self.m1 = self.ctx.distinct_messages()
         return self.m0, self.m1
 
     def guess(self, challenge: Challenge, oracle) -> int:
@@ -404,26 +382,23 @@ class TimingDictionaryAdversary:
     """
 
     name = "timedict"
+    samples_per_class = 4
 
-    def __init__(self, ctx: AdversaryContext, samples_per_class: int = 4):
+    def __init__(self, ctx: AdversaryContext):
         self.ctx = ctx
-        self.samples_per_class = samples_per_class
         self.medians: dict[int, float] | None = None
         k = ctx.message_length
         self.m0 = bytes(k)  # all-zero bits
         self.m1 = b"\xff" * k  # all-one bits
 
-    def _proxies(self) -> dict[int, bytes]:
-        k = self.ctx.message_length
-        low = bytes(k - 1) + b"\x01"  # weight 1, distinct from m0
-        high = b"\xff" * (k - 1) + b"\xfe"  # weight 8k-1, distinct from m1
-        return {0: low, 1: high}
-
     def phase1(self, oracle) -> None:
         if self.ctx.element_mode:
             return  # weight classes need byte payloads; degrade to coin flips
+        k = self.ctx.message_length
+        low = bytes(k - 1) + b"\x01"  # weight 1, distinct from m0
+        high = b"\xff" * (k - 1) + b"\xfe"  # weight 8k-1, distinct from m1
         times: dict[int, list[int]] = {0: [], 1: []}
-        for bit, proxy in self._proxies().items():
+        for bit, proxy in ((0, low), (1, high)):
             element = self.ctx.encode(proxy)
             for _ in range(self.samples_per_class):
                 ct = self.ctx.scheme.encrypt(self.ctx.pk, element, self.ctx.rng)
@@ -436,11 +411,7 @@ class TimingDictionaryAdversary:
 
     def choose(self) -> tuple[bytes, bytes]:
         if self.ctx.element_mode:
-            first = self.ctx.random_message()
-            second = self.ctx.random_message()
-            while second == first:
-                second = self.ctx.random_message()
-            return first, second
+            return self.ctx.distinct_messages()
         return self.m0, self.m1
 
     def guess(self, challenge: Challenge, oracle) -> int:
@@ -498,30 +469,30 @@ def game_params(config: GameConfig, rng: random.Random | None = None) -> GroupPa
     return gen_group_params(config.security_parameter_bits, rng or random.Random(config.seed ^ 0x9A11))
 
 
-def _run_trials(scheme, adversary_factory, config: GameConfig, timer_factory=None) -> GameResult:
-    rng = random.Random(config.seed)
-    transcript: list[dict] = []
-    correct = 0
-    forfeits = 0
-    capacity = max_message_length(scheme.params)
-    element_mode = capacity < 1
-    if element_mode:
+def _message_length(params: GroupParams, config: GameConfig) -> tuple[int, bool]:
+    """Octets per game message, and whether messages are raw group elements."""
+    capacity = max_message_length(params)
+    if capacity < 1:
         # toy groups cannot hold a prefixed byte payload: messages are the
         # fixed-width big-endian bytes of raw subgroup elements instead
-        message_length = (scheme.params.p.bit_length() + 7) // 8
-    else:
-        message_length = min(config.message_length, capacity)
+        return (params.p.bit_length() + 7) // 8, True
+    return min(config.message_length, capacity), False
+
+
+def _run_trials(scheme, adversary_factory, config: GameConfig, timed_answer=None) -> GameResult:
+    """Play the game n_trials times; timed_answer(sk), if given, times the answers."""
+    rng = random.Random(config.seed)
+    transcript: list[dict] = []
+    message_length, element_mode = _message_length(scheme.params, config)
 
     for trial in range(config.n_trials):
         pk, sk = scheme.keygen(rng)
         queries: list[dict] = []
-        timer = timer_factory(scheme, sk) if timer_factory is not None else None
-        oracle = DecryptionOracle(
-            decrypt_fn=lambda ct: scheme.decrypt(sk, ct),
-            budget=config.query_budget,
-            transcript=queries,
-            timer=timer,
-        )
+        if timed_answer is not None:
+            answer = timed_answer(sk)
+        else:
+            answer = lambda ct: (scheme.decrypt(sk, ct), None)
+        oracle = DecryptionOracle(answer, config.query_budget, queries)
         ctx = AdversaryContext(
             scheme=scheme,
             params=scheme.params,
@@ -541,42 +512,34 @@ def _run_trials(scheme, adversary_factory, config: GameConfig, timer_factory=Non
 
         if len(m0) != len(m1):
             record["forfeit"] = "unequal message lengths"
-            forfeits += 1
             continue
         try:
             elem0, elem1 = ctx.encode(m0), ctx.encode(m1)
         except cramer_shoup.EncodingError as exc:
             record["forfeit"] = f"unencodable message: {exc}"
-            forfeits += 1
             continue
         if elem0 in phase1_results or elem1 in phase1_results:
             record["forfeit"] = "challenge message was decrypted in phase 1"
-            forfeits += 1
             continue
 
         b = rng.getrandbits(1)
         record["b"] = b
         challenge_elem = elem1 if b else elem0
         ct_star = scheme.encrypt(pk, challenge_elem, rng)
-        if timer is not None:
-            _, t_ft = timer(ct_star)  # responder-side processing of the challenge
-            challenge = Challenge(ciphertext=ct_star, time_ns=t_ft)
-        else:
-            challenge = Challenge(ciphertext=ct_star)
+        # the timing game also reports the responder's processing of the challenge
+        challenge = Challenge(ct_star, answer(ct_star)[1] if timed_answer is not None else None)
 
         oracle.phase = 2
         oracle.challenge_ct = ct_star
         b_prime = adversary.guess(challenge, oracle)
         record["b_prime"] = b_prime
-        if b_prime == b:
-            record["correct"] = True
-            correct += 1
+        record["correct"] = b_prime == b
 
     advantage, ci99 = estimate_advantage(transcript)
     return GameResult(
         trials=config.n_trials,
-        correct=correct,
-        forfeits=forfeits,
+        correct=sum(1 for t in transcript if t["correct"]),
+        forfeits=sum(1 for t in transcript if t["forfeit"]),
         advantage=advantage,
         ci99=ci99,
         threshold=config.threshold,
@@ -609,19 +572,18 @@ def run_ind_cca2_scta(
 
     setup_rng = random.Random(config.seed ^ 0x5C7A)
     leaky = leaky_fixture(scheme)
-    capacity = max_message_length(leaky.params)
-    if timing_mode == FIXED and capacity < 1:
+    message_length, element_mode = _message_length(leaky.params, config)
+    if timing_mode == FIXED and element_mode:
         raise ParameterError(
             "fixed-mode calibration needs a group large enough for byte messages"
         )
-    message_length = min(config.message_length, max(capacity, 1))
 
     delay_model = config.channel.delay if config.channel is not None else FixedDelay(0.0)
     delay_rng = random.Random(config.seed ^ 0xDE1A)
 
-    def timer_factory(scheme_in_use, sk):
-        def timed(ct):
-            operation = lambda: scheme_in_use.decrypt(sk, ct)
+    def timed_answer(sk):
+        def answer(ct):
+            operation = lambda: leaky.decrypt(sk, ct)
             if timing_mode == FIXED:
                 value, elapsed_ns = fixed_time.run_fixed(budget, operation)
             else:
@@ -630,12 +592,12 @@ def run_ind_cca2_scta(
             delay_ns = int(delay_model.sample(delay_rng) * 1e9)
             return value, elapsed_ns + delay_ns
 
-        return timed
+        return answer
 
     with _pinned_cpu(config.pin_cpu):
         if timing_mode == FIXED:
             budget = calibrate_scta_budget(leaky, message_length, rng=setup_rng)
-        return _run_trials(leaky, adversary_factory, config, timer_factory=timer_factory)
+        return _run_trials(leaky, adversary_factory, config, timed_answer)
 
 
 def calibrate_scta_budget(

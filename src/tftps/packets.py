@@ -245,7 +245,6 @@ def security_from_options(options) -> SecurityOptions | None:
 @dataclass(frozen=True)
 class TransferPolicy:
     require_security: bool = False
-    supported_schemes: tuple[str, ...] = (SEC_SCHEME,)
 
 
 def negotiate(request_options, policy: TransferPolicy):
@@ -263,6 +262,6 @@ def negotiate(request_options, policy: TransferPolicy):
         if policy.require_security:
             return ErrorPacket(ERR_SECURITY, "server policy requires a secured transfer")
         return ()
-    if sec.scheme not in policy.supported_schemes:
+    if sec.scheme != SEC_SCHEME:
         return ErrorPacket(ERR_OPTION_REFUSED, f"unsupported security scheme {sec.scheme!r}")
     return sec.to_options()

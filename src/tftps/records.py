@@ -3,8 +3,8 @@
 The 512 bits of wrapped session material split into a 256-bit cipher key
 and a 256-bit MAC key.  Each block is sealed encrypt-then-MAC with the
 block sequence number authenticated, so replays and any single-bit tamper
-fail verification.  Tag comparison is a full-length accumulate-XOR with no
-early exit.
+fail verification.  Tags are compared with ``hmac.compare_digest``, whose
+time does not depend on where two tags differ.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ _DEFAULT_RNG = random.SystemRandom()
 
 
 MAC_FAILURE = Sentinel("MAC_FAILURE")  # result for records that fail authentication
-
-# Byte-operation counter for the constant-time comparison, so tests can
-# assert match and mismatch execute the same amount of work.
-_compare_ops = 0
 
 
 @dataclass(frozen=True)
@@ -82,34 +78,9 @@ def open_block(keys: SessionKeys, seq: int, record: SealedRecord):
     expected seq must match.  Nothing is decrypted on failure.
     """
     expected = _tag(keys, record.seq, record.nonce, record.ciphertext)
-    diff = 0 if constant_time_equal(expected, record.tag) else 1
-    diff |= record.seq ^ seq
-    if diff != 0:
+    if not hmac.compare_digest(expected, record.tag) or record.seq != seq:
         return MAC_FAILURE
     return _aes_ctr(keys.enc_key, record.nonce, record.ciphertext)
-
-
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Full-length accumulate-XOR comparison; no early exit."""
-    global _compare_ops
-    if len(a) != len(b):
-        return False
-    acc = 0
-    ops = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-        ops += 1
-    _compare_ops += ops
-    return acc == 0
-
-
-def compare_op_count() -> int:
-    return _compare_ops
-
-
-def reset_compare_op_count() -> None:
-    global _compare_ops
-    _compare_ops = 0
 
 
 # Wire layout inside a TFTP DATA payload:

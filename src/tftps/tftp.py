@@ -789,7 +789,10 @@ class TftpServer(_Node):
                 self._budget_for(entry)
 
     def serve_forever(self, stop: threading.Event) -> None:
-        """Accept requests until the stop event is set; then abort sessions."""
+        """Accept requests until the stop event is set; then abort sessions.
+
+        The listening endpoint is closed once the session threads are joined.
+        """
         while not stop.is_set():
             result = self.endpoint.recv(0.1)
             if result is TIMEOUT:
@@ -815,6 +818,7 @@ class TftpServer(_Node):
                 )
         for thread in self._threads.values():
             thread.join(timeout=2 * self.timeout + 1)
+        self.endpoint.close()
 
     def _run_session(self, request, src, stop) -> None:
         summary = TransferSummary()

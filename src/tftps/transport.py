@@ -82,10 +82,7 @@ class UdpEndpoint:
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((host, port))
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._sock.getsockname()
+        self.address: tuple[str, int] = self._sock.getsockname()  # still readable after close
 
     def send(self, data: bytes, dst) -> None:
         if len(data) > MAX_DATAGRAM:
@@ -135,7 +132,8 @@ class SimEndpoint:
         return self._network.receive(self, timeout)
 
     def close(self) -> None:
-        self.closed = True
+        """Unbind the address and drop anything still queued; a second call does nothing."""
+        self._network.release(self)
 
 
 class SimulatedNetwork:
@@ -172,6 +170,13 @@ class SimulatedNetwork:
             self._endpoints[port] = ep
             return ep
 
+    def release(self, endpoint: SimEndpoint) -> None:
+        with self._cond:
+            endpoint.closed = True
+            endpoint.queue.clear()
+            if self._endpoints.get(endpoint.address) is endpoint:
+                del self._endpoints[endpoint.address]
+
     def transmit(self, src: int, dst: int, data: bytes) -> None:
         now = time.monotonic()
         with self._cond:
@@ -191,7 +196,7 @@ class SimulatedNetwork:
             target = self._endpoints.get(dst)
             for payload in copies:
                 self.wiretap.append(payload)
-                if target is None or target.closed:
+                if target is None:
                     continue
                 deliver_at = now + self.model.delay.sample(self._rng)
                 heapq.heappush(target.queue, (deliver_at, next(self._order), payload, src))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 
@@ -158,6 +160,33 @@ class TestIndCca2:
 
         result = run_ind_cca2(make_scheme("cs", params_256), greedy_factory, config)
         assert result.trials == 30
+
+
+class TestTranscriptPin:
+    """Seeded chosen-ciphertext runs are byte-for-byte reproducible.
+
+    The digest covers each run's report and full transcript, so any change to
+    the order of the game's random draws, or to what the oracle answers,
+    changes it.  Timing runs are left out: their guesses depend on the host.
+    """
+
+    DIGEST = "7b1f53dc7884d17c4a0608359da5bd9fcafd407e04da1545249918ed6cb7dc79"
+
+    def test_seeded_cca2_transcripts_are_pinned(self, params_256):
+        toy = game_params(GameConfig(n_trials=60, security_parameter_bits=8, seed=3))
+        runs = [
+            ("cs", "random", GameConfig(n_trials=60, seed=1, params=params_256)),
+            ("elgamal", "malleate", GameConfig(n_trials=60, seed=2, params=params_256)),
+            ("cs", "malleate", GameConfig(n_trials=60, seed=3, params=params_256)),
+            ("cs", "random", GameConfig(n_trials=60, seed=3, params=toy)),
+            ("cs", "timedict", GameConfig(n_trials=60, seed=3, params=toy)),
+        ]
+        digest = hashlib.sha256()
+        for scheme, adversary, config in runs:
+            result = run_ind_cca2(make_scheme(scheme, config.params), make_adversary(adversary), config)
+            digest.update(json.dumps(result.report(), sort_keys=True).encode())
+            digest.update(json.dumps(result.transcript, sort_keys=True, default=repr).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestLeakyFixture:

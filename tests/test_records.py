@@ -7,13 +7,10 @@ from tftps.records import (
     KEY_MATERIAL_LEN,
     MAC_FAILURE,
     RECORD_OVERHEAD,
-    compare_op_count,
-    constant_time_equal,
     derive_session_keys,
     open_block,
     record_from_bytes,
     record_to_bytes,
-    reset_compare_op_count,
     seal_block,
 )
 
@@ -96,25 +93,6 @@ class TestSealOpen:
         other = derive_session_keys(rng.randbytes(64))
         record = seal_block(keys, 1, b"secret", rng)
         assert open_block(other, 1, record) is MAC_FAILURE
-
-
-class TestConstantTimeCompare:
-    def test_equal_and_unequal(self):
-        assert constant_time_equal(b"abcd", b"abcd")
-        assert not constant_time_equal(b"abcd", b"abce")
-        assert not constant_time_equal(b"abcd", b"abc")
-
-    def test_same_work_for_match_and_mismatch(self):
-        a = bytes(range(32))
-        b = bytes(range(32))
-        c = bytes([0xFF]) + bytes(range(1, 32))  # differs in the first byte
-        reset_compare_op_count()
-        constant_time_equal(a, b)
-        match_ops = compare_op_count()
-        reset_compare_op_count()
-        constant_time_equal(a, c)
-        mismatch_ops = compare_op_count()
-        assert match_ops == mismatch_ops == 32
 
 
 class TestWireLayout:

@@ -41,7 +41,7 @@ from tftps.tftp import (
     key_exchange_receive,
     key_exchange_send,
 )
-from tftps.transport import TIMEOUT, ChannelModel, SimulatedNetwork
+from tftps.transport import TIMEOUT, ChannelModel, SimulatedNetwork, UdpNetwork
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +513,28 @@ class TestResourceBounds:
                 assert client.put(b"x" * 100, server.address, f"f{i}.bin", None).ok
                 assert wait_for(lambda: len(server.session_logs) == i + 1)
             assert len(server._threads) <= 2
+
+    def test_closed_endpoints_leave_the_simulated_network(self, tmp_path, keystore):
+        store, _ = keystore
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            client = TftpClient(net, store, rng=random.Random(42), timeout=0.1, decrypt_budget=None)
+            for i in range(200):
+                assert client.put(b"x" * 100, server.address, f"f{i}.bin", None).ok
+            # every client endpoint closes at once, every session endpoint when its dally ends
+            assert wait_for(lambda: list(net._endpoints) == [server.address], timeout=2.0), len(net._endpoints)
+
+    @pytest.mark.parametrize("kind", ["udp", "simulated"])
+    def test_serve_forever_closes_its_listening_endpoint(self, tmp_path, keystore, kind):
+        store, _ = keystore
+        net = UdpNetwork() if kind == "udp" else SimulatedNetwork(ChannelModel())
+        server = TftpServer(net, root=tmp_path, keystore=store, timeout=0.1, decrypt_budget=None)
+        stop = threading.Event()
+        stop.set()
+        server.serve_forever(stop)
+        port = server.address[1] if kind == "udp" else server.address
+        net.endpoint(port).close()  # binding fails while the server still holds the address
+        server.endpoint.close()  # a second close is harmless
 
 
     def test_session_logs_keep_the_newest_1024(self, tmp_path, keystore):
