@@ -19,7 +19,7 @@ block, never sleep, and hold no hidden state.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .groups import ParameterError
@@ -206,22 +206,37 @@ def sender_step(state: SenderState, event) -> tuple[SenderState, list]:
     if isinstance(event, Send):
         if state.pending is not None:
             raise ParameterError(f"send while frame {state.seq} is outstanding")
-        new = replace(state, pending=event.payload, retries=0)
+        new = SenderState(seq_bits=state.seq_bits, max_retries=state.max_retries, seq=state.seq, pending=event.payload)
         return new, [EmitFrame(make_data_frame(new.seq, event.payload))]
 
     if isinstance(event, AckReceived):
         if state.pending is None or event.seq != state.seq:
             return state, []
         next_seq = (state.seq + 1) % state.seq_mod
-        return replace(state, seq=next_seq, pending=None, retries=0), [Done()]
+        return SenderState(seq_bits=state.seq_bits, max_retries=state.max_retries, seq=next_seq), [Done()]
 
     if isinstance(event, Timeout):
         if state.pending is None:
             return state, []
         retries = state.retries + 1
         if retries > state.max_retries:
-            return replace(state, failed=True), [Fail(f"retry limit {state.max_retries} exceeded")]
-        return replace(state, retries=retries), [EmitFrame(make_data_frame(state.seq, state.pending))]
+            failed = SenderState(
+                seq_bits=state.seq_bits,
+                max_retries=state.max_retries,
+                seq=state.seq,
+                pending=state.pending,
+                retries=state.retries,
+                failed=True,
+            )
+            return failed, [Fail(f"retry limit {state.max_retries} exceeded")]
+        new = SenderState(
+            seq_bits=state.seq_bits,
+            max_retries=state.max_retries,
+            seq=state.seq,
+            pending=state.pending,
+            retries=retries,
+        )
+        return new, [EmitFrame(make_data_frame(state.seq, state.pending))]
 
     raise ParameterError(f"unknown sender event {event!r}")
 
@@ -251,8 +266,8 @@ def receiver_step(state: ReceiverState, frame: Frame) -> tuple[ReceiverState, li
     if frame.kind != FrameKind.DATA:
         return state, [Drop("not a data frame")]
     if frame.seq == state.expected_seq:
-        new = replace(
-            state,
+        new = ReceiverState(
+            seq_bits=state.seq_bits,
             expected_seq=(frame.seq + 1) % state.seq_mod,
             last_acked=frame.seq,
         )

@@ -158,6 +158,11 @@ def key_exchange_send(
     return material, list(chunks.chunks)
 
 
+def _max_keyblocks(params: GroupParams) -> int:
+    """The most DATA blocks a wrapped key can fill: four length-prefixed integers below p."""
+    return -(-4 * (2 + -(-params.bits // 8)) // BLOCK_SIZE)
+
+
 def key_exchange_receive(
     chunks: list[bytes],
     sk: CsSecretKey,
@@ -719,6 +724,8 @@ class TftpClient(_Node):
                     session.abort(packets.ERR_OPTION_REFUSED, "unsolicited security options")
                 if echoed is None or echoed.scheme != security.scheme or not echoed.keyblocks:
                     session.abort(packets.ERR_OPTION_REFUSED, "server altered security options")
+                if echoed.keyblocks > _max_keyblocks(entry.params):
+                    session.abort(packets.ERR_OPTION_REFUSED, "more key blocks than a wrapped key fills")
                 keyblocks = echoed.keyblocks
                 prompt = encode_packet(AckPacket(block=0))
                 session.enter_phase(Phase.KEY_EXCHANGE)
@@ -889,6 +896,8 @@ class TftpServer(_Node):
             entry = self.keystore.get(sec.kid)
             if entry is None or entry.secret is None:
                 session.abort(packets.ERR_OPTION_REFUSED, f"no secret key for kid {sec.kid!r}")
+            if sec.keyblocks > _max_keyblocks(entry.params):
+                session.abort(packets.ERR_OPTION_REFUSED, "more key blocks than a wrapped key fills")
             budget = self._budget_for(entry)  # calibrate before answering
             initial = encode_packet(OptionAck(options=sec.to_options()))
             session.enter_phase(Phase.KEY_EXCHANGE)

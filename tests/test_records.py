@@ -1,11 +1,16 @@
+import hashlib
+import hmac
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from tftps import records
 from tftps.groups import ParameterError
 from tftps.records import (
     KEY_MATERIAL_LEN,
     MAC_FAILURE,
+    NONCE_LEN,
     RECORD_OVERHEAD,
     derive_session_keys,
     open_block,
@@ -118,3 +123,34 @@ class TestWireLayout:
     def test_material_length_constant(self):
         assert KEY_MATERIAL_LEN == 64
         assert RECORD_OVERHEAD == 56
+
+
+class TestIndependentOracle:
+    """The per-session cipher and MAC state give the bytes of a fresh AES-CTR cipher and a fresh HMAC."""
+
+    def test_every_record_matches_a_fresh_cipher_and_hmac(self, keys):
+        rng = random.Random(10)
+        wrap_nonces = (b"\xff" * NONCE_LEN, b"\xff" * (NONCE_LEN - 1) + b"\xf0")
+        for length in range(1101):
+            plaintext = rng.randbytes(length)
+            seq = rng.getrandbits(64)
+            for nonce in (rng.randbytes(NONCE_LEN),) + wrap_nonces:
+                oracle = Cipher(algorithms.AES(keys.enc_key), modes.CTR(nonce)).encryptor()
+                ciphertext = oracle.update(plaintext) + oracle.finalize()
+                tag = hmac.new(keys.mac_key, seq.to_bytes(8, "big") + nonce + ciphertext, hashlib.sha256).digest()
+                assert records._aes_ctr(keys, nonce, plaintext) == ciphertext, (length, nonce.hex())
+                assert records._tag(keys, seq, nonce, ciphertext) == tag, (length, nonce.hex())
+
+    def test_seal_and_open_build_no_cipher_and_no_hmac(self, monkeypatch):
+        keys = derive_session_keys(random.Random(11).randbytes(64))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built per block")
+
+        monkeypatch.setattr(records, "Cipher", refuse)
+        monkeypatch.setattr(hmac, "new", refuse)
+        rng = random.Random(12)
+        for seq in range(1, 11):
+            plaintext = rng.randbytes(456)
+            wire = record_to_bytes(seal_block(keys, seq, plaintext, rng))
+            assert open_block(keys, seq, record_from_bytes(wire)) == plaintext

@@ -556,6 +556,64 @@ class TestResourceBounds:
         assert server.session_logs[-1].filename == "f1099.txt"
         assert all(log.summary.status == "FAILED" for log in server.session_logs)
 
+    def test_wrq_with_more_key_blocks_than_a_wrapped_key_fills_gets_error_8(self, tmp_path, keystore):
+        store, entry = keystore
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            probe = net.endpoint()
+            options = SecurityOptions(keyblocks=65535, kid=entry.kid).to_options()
+            probe.send(encode_packet(WriteRequest("f.bin", "octet", options)), server.address)
+            replies = []
+            deadline = time.monotonic() + 0.5  # five of the server's timeouts: an OACK would be resent
+            while (left := deadline - time.monotonic()) > 0:
+                reply = probe.recv(left)
+                if reply is not TIMEOUT:
+                    replies.append(decode_packet(reply[0]))
+            assert wait_for(lambda: len(server.session_logs) == 1)
+        assert len(replies) == 1
+        assert isinstance(replies[0], ErrorPacket) and replies[0].code == 8
+        assert server.session_logs[0].summary.error_code == 8
+        assert not (tmp_path / "f.bin").exists()
+
+    @pytest.mark.parametrize("keyblocks", [3, 65535])
+    def test_get_refuses_an_oack_with_more_key_blocks_than_a_wrapped_key_fills(self, keystore, keyblocks):
+        store, entry = keystore  # a 1024-bit key: a wrap fills at most 2 blocks
+
+        class ScriptedEndpoint:
+            def __init__(self):
+                self.sent = []
+                self.replies = []
+                self.address = 100
+
+            def send(self, data, dst):
+                packet = decode_packet(data)
+                self.sent.append((packet, dst))
+                if isinstance(packet, ReadRequest):
+                    oack = OptionAck(SecurityOptions(keyblocks=keyblocks, kid=entry.kid).to_options())
+                    self.replies.append((encode_packet(oack), 200))
+
+            def recv(self, timeout):
+                return self.replies.pop(0) if self.replies else TIMEOUT
+
+            def close(self):
+                pass
+
+        class ScriptedNetwork:
+            def __init__(self):
+                self.ep = ScriptedEndpoint()
+
+            def endpoint(self, port=None):
+                return self.ep
+
+        net = ScriptedNetwork()
+        client = TftpClient(net, store, rng=random.Random(43), timeout=0.05, decrypt_budget=None)
+        fetched, summary = client.get("f.bin", 1, SecurityOptions(kid=entry.kid))
+        assert fetched is None
+        assert summary.error_code == 8
+        (request, _), (refusal, dst) = net.ep.sent
+        assert isinstance(request, ReadRequest)
+        assert isinstance(refusal, ErrorPacket) and refusal.code == 8 and dst == 200
+
 
 class TestDally:
     """A receiving session ends at its final ACK; the node's dallier answers a lost one."""
