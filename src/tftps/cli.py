@@ -30,7 +30,7 @@ EXIT_PROTOCOL = 3
 EXIT_SECURITY = 4
 EXIT_ASSERTION = 5
 
-log = logging.getLogger("tftps")
+KEYSTORE_ENV = "TFTPS_KEYSTORE"
 
 
 class CliError(Exception):
@@ -49,27 +49,9 @@ def _rng_from(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    config: dict[str, str] = {}
-    try:
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(EXIT_CONFIG, f"malformed config line: {raw!r}")
-            name, _, value = line.partition("=")
-            config[name.strip()] = value.strip()
-    except OSError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot read config file: {exc}") from exc
-    return config
-
-
 def _keystore_from(args) -> tftp.KeyStore:
     store = tftp.KeyStore()
-    path = getattr(args, "keystore", None) or os.environ.get(tftp.KEYSTORE_ENV)
+    path = getattr(args, "keystore", None) or os.environ.get(KEYSTORE_ENV)
     if path:
         target = Path(path)
         if target.is_dir():
@@ -124,28 +106,21 @@ def cmd_keygen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_serve(args) -> int:
-    config = _load_config_file(args.config)
-    port = args.port if args.port is not None else int(config.get("port", 69))
-    root = args.root or config.get("root", ".")
-    if config.get("keystore") and not args.keystore:
-        args.keystore = config["keystore"]
-    require = args.require_security or config.get("require_security", "").lower() in ("1", "true", "yes")
-
     keystore = _keystore_from(args)
-    policy = TransferPolicy(require_security=require)
+    policy = TransferPolicy(require_security=args.require_security)
     network = transport.UdpNetwork(host=args.host)
     try:
         server = tftp.TftpServer(
             network,
-            root=root,
+            root=args.root,
             keystore=keystore,
             policy=policy,
-            port=port,
+            port=args.port,
             rng=_rng_from(args.seed),
             timeout=args.timeout,
         )
     except OSError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot bind UDP {args.host}:{port}: {exc}") from exc
+        raise CliError(EXIT_CONFIG, f"cannot bind UDP {args.host}:{args.port}: {exc}") from exc
 
     server.warm_up()
     stop = threading.Event()
@@ -155,15 +130,10 @@ def cmd_serve(args) -> int:
 
     signal.signal(signal.SIGINT, _signal_handler)
     signal.signal(signal.SIGTERM, _signal_handler)
-    print(f"serving {root} on {server.address[0]}:{server.address[1]} "
-          f"(security {'required' if require else 'optional'}, {len(keystore)} keys)")
+    print(f"serving {args.root} on {server.address[0]}:{server.address[1]} "
+          f"(security {'required' if args.require_security else 'optional'}, {len(keystore)} keys)")
     server.serve_forever(stop)
     print("shutdown complete")
-    for entry in server.session_logs:
-        s = entry.summary
-        log.info(
-            "final session log: %s %s %s bytes=%d", entry.operation, entry.filename, s.status, s.bytes_transferred
-        )
     return EXIT_OK
 
 
@@ -410,7 +380,7 @@ def build_parser() -> _Parser:
 
     def common_transfer(p):
         p.add_argument("--server", required=True, help="host:port")
-        p.add_argument("--keystore", help=f"key directory/file (or ${tftp.KEYSTORE_ENV})")
+        p.add_argument("--keystore", help=f"key directory/file (or ${KEYSTORE_ENV})")
         p.add_argument("--key-file", action="append", help="extra key file(s)")
         p.add_argument("--sec", action="store_true", help="wrap the transfer with cs1 security")
         p.add_argument("--kid", help="recipient/own key identifier")
@@ -428,12 +398,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("serve", help="run the server until SIGINT")
     p.add_argument("--host", default="0.0.0.0")
-    p.add_argument("--port", type=int, default=None, help="UDP port (default 69; config overrides)")
-    p.add_argument("--root", help="served directory")
+    p.add_argument("--port", type=int, default=69, help="UDP port")
+    p.add_argument("--root", default=".", help="served directory")
     p.add_argument("--keystore")
     p.add_argument("--key-file", action="append")
     p.add_argument("--require-security", action="store_true")
-    p.add_argument("--config", help="key=value config file (port, root, keystore, require_security)")
     p.add_argument("--seed", type=int)
     p.add_argument("--timeout", type=float, default=0.5)
     p.set_defaults(func=cmd_serve)

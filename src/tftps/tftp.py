@@ -20,13 +20,18 @@ FAILED with the abort's code and message, then the endpoint is closed.
 Its wait() is the one receive loop: the awaited packet gets one timeout,
 and other packets are answered but do not restart the timer.  exchange()
 resends a request, OACK or ACK 0 on each timeout and gives up after
-max_retries; DATA blocks are retransmitted by the arq sender.
+max_retries; DATA blocks are retransmitted by the arq sender.  The key
+exchange is one step per side: wrap() for the data sender, and
+accept_keyblocks() for the data receiver; echoed() checks the OACK that
+answers a secured request.
 
 The receiving side of a transfer (a client get, a server write) ends when
 its final ACK is sent, as RFC 1350 section 6 allows.  Its endpoint goes to
 the node's dallier, one background thread that re-sends the final ACK for
-any DATA from the peer for one timeout, in case that ACK was lost, and then
-closes the endpoint.
+any DATA from the peer for 1.25 timeouts, in case that ACK was lost, and
+then closes the endpoint.  The hold outlasts the sender's one-timeout
+timer, so a final block resent a little late is still answered.  An
+endpoint handed over while every slot is full is closed at once.
 """
 
 from __future__ import annotations
@@ -63,12 +68,13 @@ log = logging.getLogger(__name__)
 
 BLOCK_SIZE = packets.BLOCK_SIZE
 PLAINTEXT_PER_BLOCK = BLOCK_SIZE - records.RECORD_OVERHEAD  # 456 octets
-KEYSTORE_ENV = "TFTPS_KEYSTORE"
 
 _DEFAULT_RNG = random.SystemRandom()
 
-# Endpoints one dallier holds at once; when it is full the oldest is closed early.
+# Endpoints one dallier holds at once; one handed over when all are full is closed at once.
 _DALLY_SLOTS = 8
+# How long, in timeouts, a dallier holds an endpoint: past the sender's resend at one timeout.
+_DALLY_HOLD = 1.25
 
 
 SECURITY_FAILURE = Sentinel("SECURITY_FAILURE")
@@ -289,10 +295,7 @@ class _Session:
             summary.status = Phase.DONE
         except _SessionAborted as abort:
             summary.status = Phase.FAILED
-            if not summary.error_message:
-                summary.error_message = abort.message
-            if abort.code is not None and summary.error_code is None:
-                summary.error_code = abort.code
+            summary.error_code, summary.error_message = abort.code, abort.message
             summary.phases.append(Phase.FAILED)
         finally:
             summary.elapsed_s = time.monotonic() - started
@@ -313,16 +316,11 @@ class _Session:
         self.endpoint.send(encode_packet(packet), dst if dst is not None else self.peer)
 
     def abort(self, code: int | None, message: str, notify_peer: bool = True) -> None:
+        """End the session with code and message, sending them as ERROR unless notify_peer is false."""
         if notify_peer and self.peer is not None and code is not None:
-            try:
+            with contextlib.suppress(Exception):
                 self.send_packet(ErrorPacket(code, message))
-            except Exception:
-                pass
         raise _SessionAborted(code, message)
-
-    def check_stop(self) -> None:
-        if self.stop is not None and self.stop.is_set():
-            self.abort(packets.ERR_NOT_DEFINED, "server shutting down")
 
     def wait(self, handle):
         """Wait up to one timeout for the packet this step of the session awaits.
@@ -338,7 +336,8 @@ class _Session:
         """
         deadline = time.monotonic() + self.timeout
         while True:
-            self.check_stop()
+            if self.stop is not None and self.stop.is_set():
+                self.abort(packets.ERR_NOT_DEFINED, "server shutting down")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return TIMEOUT
@@ -347,10 +346,8 @@ class _Session:
                 return TIMEOUT
             data, src = result
             if self.peer is not None and src != self.peer:
-                try:
+                with contextlib.suppress(Exception):
                     self.send_packet(ErrorPacket(packets.ERR_UNKNOWN_TID, "unknown transfer id"), src)
-                except Exception:
-                    pass
                 continue
             try:
                 packet = decode_packet(data)
@@ -361,8 +358,7 @@ class _Session:
                 self.peer = src
                 return awaited
             if isinstance(packet, ErrorPacket):
-                self.summary.error_code = packet.code
-                self.abort(None, f"peer error {packet.code}: {packet.message}", notify_peer=False)
+                self.abort(packet.code, f"peer error {packet.code}: {packet.message}", notify_peer=False)
 
     def exchange(self, wire: bytes | None, handle, give_up: str, dst=None):
         """Send wire, then wait for what handle awaits, resending wire on every timeout.
@@ -384,11 +380,30 @@ class _Session:
         """Send a request to the server until it replies; the reply locks the TID, an ERROR ends the session."""
         reply = self.exchange(wire, lambda packet: packet, "no response from server", dst=server)
         if isinstance(reply, ErrorPacket):
-            self.summary.error_code, self.summary.error_message = reply.code, reply.message
-            self.abort(None, f"server refused: {reply.message}", notify_peer=False)
+            self.abort(reply.code, reply.message, notify_peer=False)
         return reply
 
+    def echoed(self, reply, security: SecurityOptions) -> SecurityOptions:
+        """The security options that reply, an OACK, echoes; any other reply is refused with ERROR 8."""
+        try:
+            options = packets.security_from_options(reply.options) if isinstance(reply, OptionAck) else None
+        except packets.MalformedPacketError as exc:
+            self.abort(packets.ERR_OPTION_REFUSED, f"malformed OACK: {exc}")
+        if options is None or options.scheme != security.scheme:
+            self.abort(packets.ERR_OPTION_REFUSED, "server did not echo the security options")
+        return options
+
     # -- data sender ---------------------------------------------------------
+
+    def wrap(self, entry: KeyEntry | None, rng) -> tuple[records.SessionKeys, list[bytes]]:
+        """Data sender: wrap fresh session material for entry's key; returns the keys and key blocks."""
+        if entry is None:
+            self.abort(packets.ERR_OPTION_REFUSED, "no key for the requested kid")
+        started = time.monotonic()
+        material, payloads = key_exchange_send(entry.public, rng)
+        keys = records.derive_session_keys(material)
+        self.summary.key_exchange_s = time.monotonic() - started
+        return keys, payloads
 
     def send_stream(
         self, data: bytes, keys: records.SessionKeys | None, key_payloads: list[bytes], rng
@@ -437,6 +452,15 @@ class _Session:
         self.summary.bytes_transferred = len(data)
 
     # -- data receiver -------------------------------------------------------
+
+    def accept_keyblocks(self, entry: KeyEntry | None, keyblocks: int | None) -> None:
+        """Data receiver: refuse with ERROR 8 a key it cannot unwrap with, or more key blocks than its wrap fills."""
+        if entry is None or entry.secret is None:
+            self.abort(packets.ERR_OPTION_REFUSED, "no secret key for the requested kid")
+        limit = _max_keyblocks(entry.params)
+        if not keyblocks or keyblocks > limit:
+            self.abort(packets.ERR_OPTION_REFUSED, f"keyblocks must be 1 to {limit} for key {entry.kid}")
+        self.enter_phase(Phase.KEY_EXCHANGE)
 
     def recv_stream(
         self,
@@ -527,29 +551,29 @@ class _Session:
 class _Dallier:
     """Re-acknowledges lost final ACKs for the finished sessions of one node.
 
-    Each handed-over endpoint is held for one timeout: DATA from its peer is
-    answered with the session's final ACK, then the endpoint is closed.  One
-    thread serves all of them.  It starts with the first hand-over, ends once
-    it holds nothing, and is not a daemon, so a process that exits right
-    after a get still answers a lost final ACK.  It waits only in
-    endpoint.recv, on each held endpoint in turn for timeout / 2 divided
-    among them, so a resent final block is answered within timeout / 2.
+    Each handed-over endpoint is held for _DALLY_HOLD timeouts: DATA from its
+    peer is answered with the session's final ACK, then the endpoint is
+    closed.  One thread serves all of them and alone closes what it holds;
+    an endpoint handed over while every slot is full is closed at once.  The
+    thread starts with the first hand-over, ends once it holds nothing, and
+    is not a daemon, so a process that exits right after a get still answers
+    a lost final ACK.  It waits only in endpoint.recv, on each held endpoint
+    in turn for timeout / 2 divided among them, so a resent final block is
+    answered within timeout / 2.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._held: collections.deque[tuple] = collections.deque()  # (deadline, endpoint, peer, ack, timeout)
-        self._listening: tuple | None = None  # the item whose endpoint the thread is in recv on
         self._thread: threading.Thread | None = None
         self._running = False
 
     def hand_over(self, endpoint, peer, ack: bytes, timeout: float) -> None:
         with self._lock:
             if len(self._held) == _DALLY_SLOTS:
-                oldest = self._held.popleft()
-                if oldest is not self._listening:
-                    oldest[1].close()  # else the thread closes it when its recv returns
-            self._held.append((time.monotonic() + timeout, endpoint, peer, ack, timeout))
+                endpoint.close()
+                return
+            self._held.append((time.monotonic() + _DALLY_HOLD * timeout, endpoint, peer, ack, timeout))
             if not self._running:
                 if self._thread is not None:
                     self._thread.join()  # it has left its loop; only its return remains
@@ -568,12 +592,8 @@ class _Dallier:
                 self._listen(item, len(held))
 
     def _listen(self, item: tuple, shares: int) -> None:
-        """Answer DATA on one held endpoint for its share of the round; close it once evicted or expired."""
+        """Answer DATA on one held endpoint for its share of the round; release and close it once its hold ends."""
         deadline, endpoint, peer, ack, timeout = item
-        with self._lock:
-            if item not in self._held:
-                return
-            self._listening = item
         until = min(deadline, time.monotonic() + timeout / 2 / shares)
         try:
             # Past the deadline this still reads once, so DATA that came in
@@ -587,22 +607,26 @@ class _Dallier:
                     break
         except OSError:
             pass  # a failed socket has nothing left to answer; it is closed below at its deadline
-        finally:
+        if time.monotonic() >= deadline:
             with self._lock:
-                self._listening = None
-                done = item not in self._held  # evicted while the thread listened
-                if not done and time.monotonic() >= deadline:
-                    self._held.remove(item)
-                    done = True
-                if done:
-                    endpoint.close()
+                self._held.remove(item)
+            endpoint.close()
 
 
 class _Node:
     """What client and server share: network, keys, retransmission settings
     and a decrypt budget per key, calibrated on first use."""
 
-    def __init__(self, network, keystore, rng, timeout, max_retries, decrypt_budget):
+    def __init__(
+        self,
+        network,
+        keystore: KeyStore | None = None,
+        *,
+        rng: random.Random | None = None,
+        timeout: float = arq.DEFAULT_TIMEOUT,
+        max_retries: int = arq.DEFAULT_MAX_RETRIES,
+        decrypt_budget: fixed_time.TimeBudget | str | None = "auto",
+    ):
         self.network = network
         self.keystore = keystore or KeyStore()
         self.rng = rng or _DEFAULT_RNG
@@ -612,6 +636,13 @@ class _Node:
         self._budget_cache: dict[str, fixed_time.TimeBudget] = {}
         self._budget_lock = threading.Lock()
         self._dallier = _Dallier()
+
+    def _entry(self, kid: str, secret: bool) -> KeyEntry:
+        """The key for kid, with its secret half if secret; raises ParameterError before anything is sent."""
+        entry = self.keystore.get(kid)
+        if entry is None or (secret and entry.secret is None):
+            raise ParameterError(f"no {'secret' if secret else 'public'} key {kid!r} in keystore")
+        return entry
 
     def _budget_for(self, entry: KeyEntry) -> fixed_time.TimeBudget | None:
         if self.decrypt_budget is None:
@@ -633,18 +664,6 @@ class _Node:
 class TftpClient(_Node):
     """Blocking TFTP client over a real or simulated datagram network."""
 
-    def __init__(
-        self,
-        network,
-        keystore: KeyStore | None = None,
-        *,
-        rng: random.Random | None = None,
-        timeout: float = arq.DEFAULT_TIMEOUT,
-        max_retries: int = arq.DEFAULT_MAX_RETRIES,
-        decrypt_budget: fixed_time.TimeBudget | str | None = "auto",
-    ):
-        super().__init__(network, keystore, rng, timeout, max_retries, decrypt_budget)
-
     def put(
         self,
         data: bytes,
@@ -653,36 +672,23 @@ class TftpClient(_Node):
         security: SecurityOptions | None = None,
     ) -> TransferSummary:
         """Upload bytes; returns a summary whose status is DONE or FAILED."""
+        entry = self._entry(security.kid, secret=False) if security is not None else None
         summary = TransferSummary(security=security is not None)
         session = _Session(self, None, summary)
         with session.run():
             options: tuple[tuple[str, str], ...] = ()
-            key_payloads: list[bytes] = []
-            keys = None
+            keys, key_payloads = None, []
             if security is not None:
-                entry = self.keystore.get(security.kid)
-                if entry is None:
-                    raise ParameterError(f"recipient key {security.kid!r} not in keystore")
-                kx_started = time.monotonic()
-                material, key_payloads = key_exchange_send(entry.public, self.rng)
-                summary.key_exchange_s = time.monotonic() - kx_started
+                keys, key_payloads = session.wrap(entry, self.rng)
                 options = replace(security, keyblocks=len(key_payloads)).to_options()
 
             request = WriteRequest(filename=remote_name, mode="octet", options=options)
             reply = session.request(encode_packet(request), server)
 
             if security is not None:
-                if not isinstance(reply, OptionAck):
-                    session.abort(packets.ERR_OPTION_REFUSED, "server did not acknowledge security options")
-                echoed = packets.security_from_options(reply.options)
-                if (
-                    echoed is None
-                    or echoed.scheme != security.scheme
-                    or echoed.keyblocks != len(key_payloads)
-                ):
-                    session.abort(packets.ERR_OPTION_REFUSED, "server altered security options")
+                if session.echoed(reply, security).keyblocks != len(key_payloads):
+                    session.abort(packets.ERR_OPTION_REFUSED, "server altered keyblocks")
                 session.enter_phase(Phase.KEY_EXCHANGE)
-                keys = records.derive_session_keys(material)
             else:
                 if not isinstance(reply, (AckPacket, OptionAck)):
                     session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
@@ -699,46 +705,31 @@ class TftpClient(_Node):
         security: SecurityOptions | None = None,
     ) -> tuple[bytes | None, TransferSummary]:
         """Download a file; returns (bytes or None, summary)."""
+        entry = budget = None
+        options: tuple[tuple[str, str], ...] = ()
+        if security is not None:
+            entry = self._entry(security.kid, secret=True)
+            budget = self._budget_for(entry)  # calibrate before the clock starts
+            options = SecurityOptions(scheme=security.scheme, kid=security.kid).to_options()
         summary = TransferSummary(security=security is not None)
         session = _Session(self, None, summary)
         payload: bytes | None = None
         with session.run():
-            options: tuple[tuple[str, str], ...] = ()
-            entry: KeyEntry | None = None
-            budget = None
-            if security is not None:
-                entry = self.keystore.get(security.kid)
-                if entry is None or entry.secret is None:
-                    raise ParameterError(f"no secret key {security.kid!r} in keystore for download")
-                budget = self._budget_for(entry)  # calibrate before the clock starts
-                options = SecurityOptions(scheme=security.scheme, kid=security.kid).to_options()
-
             request = ReadRequest(filename=remote_name, mode="octet", options=options)
             reply = session.request(encode_packet(request), server)
 
-            keyblocks = 0
-            prompt = first = None
-            if isinstance(reply, OptionAck):
-                echoed = packets.security_from_options(reply.options)
-                if security is None:
-                    session.abort(packets.ERR_OPTION_REFUSED, "unsolicited security options")
-                if echoed is None or echoed.scheme != security.scheme or not echoed.keyblocks:
-                    session.abort(packets.ERR_OPTION_REFUSED, "server altered security options")
-                if echoed.keyblocks > _max_keyblocks(entry.params):
-                    session.abort(packets.ERR_OPTION_REFUSED, "more key blocks than a wrapped key fills")
-                keyblocks = echoed.keyblocks
-                prompt = encode_packet(AckPacket(block=0))
-                session.enter_phase(Phase.KEY_EXCHANGE)
-            elif isinstance(reply, DataPacket):
-                if security is not None:
-                    session.abort(packets.ERR_OPTION_REFUSED, "server ignored security options")
+            if security is not None:
+                keyblocks = session.echoed(reply, security).keyblocks
+                session.accept_keyblocks(entry, keyblocks)
+                payload = session.recv_stream(encode_packet(AckPacket(block=0)), keyblocks, entry, budget)
+            else:
+                if isinstance(reply, OptionAck):
+                    session.abort(packets.ERR_OPTION_REFUSED, "unsolicited options")
+                if not isinstance(reply, DataPacket):
+                    session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
                 if reply.block != 1:
                     session.abort(None, "legacy transfer did not start at block 1", notify_peer=False)
-                first = reply  # a legacy transfer already in flight
-            else:
-                session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
-
-            payload = session.recv_stream(prompt, keyblocks, entry, budget, first=first)
+                payload = session.recv_stream(None, first=reply)  # a legacy transfer already in flight
         return payload, summary
 
 
@@ -756,7 +747,7 @@ class SessionLog:
 
 
 class TftpServer(_Node):
-    """Serves read and write requests, one session thread per transfer."""
+    """Serves read and write requests, one session thread per transfer; settings are _Node's keywords."""
 
     def __init__(
         self,
@@ -766,12 +757,9 @@ class TftpServer(_Node):
         policy: TransferPolicy | None = None,
         *,
         port: int | None = None,
-        rng: random.Random | None = None,
-        timeout: float = arq.DEFAULT_TIMEOUT,
-        max_retries: int = arq.DEFAULT_MAX_RETRIES,
-        decrypt_budget: fixed_time.TimeBudget | str | None = "auto",
+        **settings,
     ):
-        super().__init__(network, keystore, rng, timeout, max_retries, decrypt_budget)
+        super().__init__(network, keystore, **settings)
         self.root = Path(root)
         self.policy = policy or TransferPolicy()
         self.endpoint = network.endpoint(port) if port is not None else network.endpoint()
@@ -828,17 +816,21 @@ class TftpServer(_Node):
         self.endpoint.close()
 
     def _run_session(self, request, src, stop) -> None:
-        summary = TransferSummary()
-        try:
-            summary.security = packets.security_from_options(request.options) is not None
-        except packets.MalformedPacketError:
-            pass
+        summary = TransferSummary(security=any(name.lower() == "sec" for name, _ in request.options))
         operation = "get" if isinstance(request, ReadRequest) else "put"
-        serve = self._serve_read if operation == "get" else self._serve_write
         session = _Session(self, src, summary, stop)
         try:
             with session.run():
-                serve(session, request)
+                if request.mode.lower() != "octet":
+                    session.abort(packets.ERR_ILLEGAL_OPERATION, f"only octet mode is served, not {request.mode!r}")
+                path = self._resolve(session, request.filename, must_exist=operation == "get")
+                outcome = packets.negotiate(request.options, self.policy)
+                if isinstance(outcome, ErrorPacket):
+                    session.abort(outcome.code, outcome.message)
+                sec = packets.security_from_options(outcome)
+                entry = self.keystore.get(sec.kid) if sec is not None else None
+                serve = self._serve_read if operation == "get" else self._serve_write
+                serve(session, path, sec, entry)
         finally:
             with self._log_lock:
                 self.session_logs.append(
@@ -872,35 +864,15 @@ class TftpServer(_Node):
             session.abort(packets.ERR_FILE_NOT_FOUND, f"no such file: {filename}")
         return candidate
 
-    def _check_mode(self, session: _Session, request) -> None:
-        if request.mode.lower() != "octet":
-            session.abort(packets.ERR_ILLEGAL_OPERATION, f"only octet mode is served, not {request.mode!r}")
-
-    def _negotiate(self, session: _Session, request) -> SecurityOptions | None:
-        outcome = packets.negotiate(request.options, self.policy)
-        if isinstance(outcome, ErrorPacket):
-            session.abort(outcome.code, outcome.message)
-        return packets.security_from_options(outcome)
-
-    def _serve_write(self, session: _Session, request: WriteRequest) -> None:
-        self._check_mode(session, request)
-        target = self._resolve(session, request.filename, must_exist=False)
-        sec = self._negotiate(session, request)
-
-        entry = None
+    def _serve_write(self, session: _Session, target: Path, sec: SecurityOptions | None, entry) -> None:
+        keyblocks = 0
         budget = None
         initial = encode_packet(AckPacket(block=0))
         if sec is not None:
-            if sec.keyblocks is None:
-                session.abort(packets.ERR_OPTION_REFUSED, "secured write needs a keyblocks option")
-            entry = self.keystore.get(sec.kid)
-            if entry is None or entry.secret is None:
-                session.abort(packets.ERR_OPTION_REFUSED, f"no secret key for kid {sec.kid!r}")
-            if sec.keyblocks > _max_keyblocks(entry.params):
-                session.abort(packets.ERR_OPTION_REFUSED, "more key blocks than a wrapped key fills")
+            session.accept_keyblocks(entry, sec.keyblocks)
+            keyblocks = sec.keyblocks
             budget = self._budget_for(entry)  # calibrate before answering
             initial = encode_packet(OptionAck(options=sec.to_options()))
-            session.enter_phase(Phase.KEY_EXCHANGE)
 
         def store(data: bytes) -> None:
             # Write beside the target, then rename over it: a failed write
@@ -915,29 +887,14 @@ class TftpServer(_Node):
                     temp.unlink()
                 session.abort(packets.ERR_DISK_FULL, f"cannot store file: {exc}")
 
-        session.recv_stream(initial, sec.keyblocks if sec else 0, entry, budget, on_final=store)
+        session.recv_stream(initial, keyblocks, entry, budget, on_final=store)
 
-    def _serve_read(self, session: _Session, request: ReadRequest) -> None:
-        summary = session.summary
-        self._check_mode(session, request)
-        source = self._resolve(session, request.filename, must_exist=True)
-        sec = self._negotiate(session, request)
+    def _serve_read(self, session: _Session, source: Path, sec: SecurityOptions | None, entry) -> None:
         data = source.read_bytes()
-
-        keys = None
-        key_payloads: list[bytes] = []
+        keys, key_payloads = None, []
         if sec is not None:
-            entry = self.keystore.get(sec.kid)
-            if entry is None:
-                session.abort(packets.ERR_OPTION_REFUSED, f"no public key for kid {sec.kid!r}")
+            keys, key_payloads = session.wrap(entry, self.rng)
             session.enter_phase(Phase.KEY_EXCHANGE)
-            kx_started = time.monotonic()
-            material, key_payloads = key_exchange_send(entry.public, self.rng)
-            keys = records.derive_session_keys(material)
-            summary.key_exchange_s = time.monotonic() - kx_started
-            oack = OptionAck(
-                options=SecurityOptions(scheme=sec.scheme, keyblocks=len(key_payloads), kid=sec.kid).to_options()
-            )
+            oack = OptionAck(options=replace(sec, keyblocks=len(key_payloads)).to_options())
             session.exchange(encode_packet(oack), _ack(0), "client never acknowledged options")
-
         session.send_stream(data, keys, key_payloads, self.rng)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tftps import arq, cramer_shoup, records
+from tftps import arq, cramer_shoup, records, tftp
 from tftps.cramer_shoup import keygen
 from tftps.groups import ParameterError
 from tftps.packets import (
@@ -19,6 +19,7 @@ from tftps.packets import (
     ERR_NOT_DEFINED,
     ERR_SECURITY,
     ERR_UNKNOWN_TID,
+    SEC_SCHEME,
     AckPacket,
     DataPacket,
     ErrorPacket,
@@ -705,6 +706,43 @@ class TestDally:
             dallier.join(timeout=1.0)
             assert not dallier.is_alive()  # it ends once it holds nothing
 
+    def test_resend_just_after_one_timeout_is_answered(self, tmp_path, keystore):
+        """With equal timeouts, a final block resent a little after one timeout still finds the dally open."""
+        store, entry = keystore
+        data = random.Random(56).randbytes(1000)
+        (tmp_path / "fw.bin").write_bytes(data)
+        keyblocks = len(key_exchange_send(entry.public, random.Random(0))[1])
+        final = keyblocks + len(data) // PLAINTEXT_PER_BLOCK + 1
+        timeout = 0.5
+        net = SimulatedNetwork(ChannelModel())
+        final_data, final_acks, timers = [], [], []
+        transmit = net.transmit
+
+        def drop_first_final_ack_and_delay_the_resend(src, dst, datagram):
+            packet = decode_packet(datagram)
+            if isinstance(packet, AckPacket) and packet.block == final:
+                final_acks.append(packet)
+                if len(final_acks) == 1:
+                    return  # lost on the wire
+            elif isinstance(packet, DataPacket) and packet.block == final:
+                final_data.append(packet)
+                if len(final_data) == 2:
+                    timers.append(threading.Timer(0.1 * timeout, transmit, (src, dst, datagram)))
+                    timers[-1].start()
+                    return  # delivered late
+            transmit(src, dst, datagram)
+
+        net.transmit = drop_first_final_ack_and_delay_the_resend
+        with running_server(net, tmp_path, store, timeout=timeout, max_retries=2) as server:
+            client = TftpClient(net, store, rng=random.Random(57), timeout=timeout, decrypt_budget=None)
+            fetched, summary = client.get("fw.bin", server.address, SecurityOptions(kid=entry.kid))
+            assert summary.ok and fetched == data
+            assert wait_for(lambda: len(server.session_logs) == 1)
+        for timer in timers:
+            timer.join(timeout=1.0)
+        assert len(final_data) >= 2
+        assert server.session_logs[0].summary.status == "DONE"
+
     def test_concurrent_hand_overs_close_every_endpoint_once(self):
         """Four threads hand over 200 endpoints; the dallier never reads a closed one."""
         timeout = 0.05
@@ -770,6 +808,116 @@ class TestDally:
             sys.setswitchinterval(switch)
         assert errors == []
         assert [endpoint.closes for endpoint in endpoints] == [1] * 200
+
+
+class ScriptedServer:
+    """A network of one client endpoint whose requests and blocks the script answers from TID 200."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.sent = []
+        self.replies = []
+        self.address = 100
+
+    def endpoint(self, port=None):
+        return self
+
+    def send(self, data, dst):
+        packet = decode_packet(data)
+        self.sent.append((packet, dst))
+        reply = self.answer(packet)
+        if reply is not None:
+            self.replies.append((encode_packet(reply), 200))
+
+    def recv(self, timeout):
+        return self.replies.pop(0) if self.replies else TIMEOUT
+
+    def close(self):
+        pass
+
+
+def request_with(client, call, kid):
+    """Run one client call against server 1 and return its summary."""
+    if call == "put":
+        return client.put(b"payload", 1, "f.bin", SecurityOptions(kid=kid))
+    security = SecurityOptions(kid=kid) if call == "secured get" else None
+    return client.get("f.bin", 1, security)[1]
+
+
+def answer_requests(reply):
+    return lambda packet: reply if isinstance(packet, (ReadRequest, WriteRequest)) else None
+
+
+class TestRefusals:
+    """The client refuses a reply that does not answer its request, with one ERROR 8 to the server's TID."""
+
+    @pytest.mark.parametrize("keyblocks", ["zero", "0"])
+    @pytest.mark.parametrize("call", ["put", "secured get", "legacy get"])
+    def test_malformed_oack_fails_the_transfer_with_error_8(self, keystore, call, keyblocks):
+        store, entry = keystore
+        oack = OptionAck((("sec", SEC_SCHEME), ("keyblocks", keyblocks), ("kid", entry.kid)))
+        net = ScriptedServer(answer_requests(oack))
+        client = TftpClient(net, store, rng=random.Random(44), timeout=0.05, decrypt_budget=None)
+        summary = request_with(client, call, entry.kid)
+        assert summary.status == "FAILED" and summary.error_code == 8
+        refusal, dst = net.sent[-1]
+        assert isinstance(refusal, ErrorPacket) and refusal.code == 8 and dst == 200
+
+    @pytest.mark.parametrize(
+        "call, reply",
+        [
+            ("put", AckPacket(0)),
+            ("put", OptionAck(SecurityOptions(keyblocks=1, kid="k").to_options())),
+            ("secured get", DataPacket(1, b"plain")),
+            ("legacy get", OptionAck(SecurityOptions(keyblocks=2, kid="k").to_options())),
+        ],
+        ids=["put-ack-0", "put-keyblocks-changed", "secured-get-data-1", "legacy-get-oack"],
+    )
+    def test_reply_that_does_not_answer_the_request_gets_error_8(self, keystore, call, reply):
+        store, entry = keystore  # a 1024-bit key: a put's wrap fills 2 blocks
+        net = ScriptedServer(answer_requests(reply))
+        client = TftpClient(net, store, rng=random.Random(45), timeout=0.05, decrypt_budget=None)
+        summary = request_with(client, call, entry.kid)
+        assert summary.status == "FAILED" and summary.error_code == 8
+        refusal, dst = net.sent[-1]
+        assert isinstance(refusal, ErrorPacket) and refusal.code == 8 and dst == 200
+
+    def test_secured_wrq_without_keyblocks_gets_one_error_8(self, tmp_path, keystore):
+        store, entry = keystore
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            probe = net.endpoint()
+            options = SecurityOptions(kid=entry.kid).to_options()
+            probe.send(encode_packet(WriteRequest("f.bin", "octet", options)), server.address)
+            replies = [decode_packet(reply[0]) for reply in iter(lambda: probe.recv(0.5), TIMEOUT)]
+            assert wait_for(lambda: len(server.session_logs) == 1)
+        assert len(replies) == 1
+        assert isinstance(replies[0], ErrorPacket) and replies[0].code == 8
+        assert server.session_logs[0].summary.error_code == 8
+        assert list(tmp_path.iterdir()) == []
+
+    def test_secured_rrq_for_an_unknown_kid_gets_error_8_before_any_wrap(self, tmp_path, keystore, monkeypatch):
+        store, _ = keystore
+        (tmp_path / "fw.bin").write_bytes(b"firmware")
+        wraps = []
+        real_key_exchange_send = tftp.key_exchange_send
+
+        def counting_key_exchange_send(*args, **kwargs):
+            wraps.append(args)
+            return real_key_exchange_send(*args, **kwargs)
+
+        monkeypatch.setattr(tftp, "key_exchange_send", counting_key_exchange_send)
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            probe = net.endpoint()
+            options = SecurityOptions(kid="f" * 16).to_options()
+            probe.send(encode_packet(ReadRequest("fw.bin", "octet", options)), server.address)
+            replies = [decode_packet(reply[0]) for reply in iter(lambda: probe.recv(0.5), TIMEOUT)]
+            assert wait_for(lambda: len(server.session_logs) == 1)
+        assert len(replies) == 1
+        assert isinstance(replies[0], ErrorPacket) and replies[0].code == 8
+        assert server.session_logs[0].summary.error_code == 8
+        assert wraps == []
 
 
 class TestLiveness:
