@@ -226,11 +226,16 @@ class SecurityOptions:
         return tuple(pairs)
 
 
+def asks_for_security(options) -> bool:
+    """Whether a request/OACK option list carries the sec option, whether or not the rest parses."""
+    return any(name.lower() == "sec" for name, _ in options)
+
+
 def security_from_options(options) -> SecurityOptions | None:
     """Extract security options from a request/OACK option list; None if absent."""
-    mapping = {name.lower(): value for name, value in options}
-    if "sec" not in mapping:
+    if not asks_for_security(options):
         return None
+    mapping = {name.lower(): value for name, value in options}
     keyblocks = None
     if "keyblocks" in mapping:
         try:

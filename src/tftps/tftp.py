@@ -31,7 +31,7 @@ the node's dallier, one background thread that re-sends the final ACK for
 any DATA from the peer for 1.25 timeouts, in case that ACK was lost, and
 then closes the endpoint.  The hold outlasts the sender's one-timeout
 timer, so a final block resent a little late is still answered.  An
-endpoint handed over while every slot is full is closed at once.
+endpoint handed over while every slot is full ends the oldest one's hold.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ PLAINTEXT_PER_BLOCK = BLOCK_SIZE - records.RECORD_OVERHEAD  # 456 octets
 
 _DEFAULT_RNG = random.SystemRandom()
 
-# Endpoints one dallier holds at once; one handed over when all are full is closed at once.
+# Endpoints one dallier holds at once; one handed over when all are full ends the oldest's hold.
 _DALLY_SLOTS = 8
 # How long, in timeouts, a dallier holds an endpoint: past the sender's resend at one timeout.
 _DALLY_HOLD = 1.25
@@ -252,10 +252,7 @@ class TransferSummary:
 
 
 class _SessionAborted(Exception):
-    def __init__(self, code: int | None, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """Raised by _Session.abort; its args are the session's (error code, message)."""
 
 
 def _ack(block: int):
@@ -295,7 +292,7 @@ class _Session:
             summary.status = Phase.DONE
         except _SessionAborted as abort:
             summary.status = Phase.FAILED
-            summary.error_code, summary.error_message = abort.code, abort.message
+            summary.error_code, summary.error_message = abort.args
             summary.phases.append(Phase.FAILED)
         finally:
             summary.elapsed_s = time.monotonic() - started
@@ -553,26 +550,29 @@ class _Dallier:
 
     Each handed-over endpoint is held for _DALLY_HOLD timeouts: DATA from its
     peer is answered with the session's final ACK, then the endpoint is
-    closed.  One thread serves all of them and alone closes what it holds;
-    an endpoint handed over while every slot is full is closed at once.  The
-    thread starts with the first hand-over, ends once it holds nothing, and
-    is not a daemon, so a process that exits right after a get still answers
-    a lost final ACK.  It waits only in endpoint.recv, on each held endpoint
-    in turn for timeout / 2 divided among them, so a resent final block is
-    answered within timeout / 2.
+    closed.  One thread serves all of them and alone closes what it holds.
+    An endpoint handed over while every slot is full releases the oldest,
+    whose hold ends there.  The thread starts with the first hand-over, ends
+    once it holds nothing, and is not a daemon, so a process that exits
+    right after a get still answers a lost final ACK.  It waits only in
+    endpoint.recv, on each held endpoint in turn for timeout / 2 divided
+    among them, so a resent final block is answered within timeout / 2.
+    After each of these slices it closes every endpoint whose hold has ended.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._held: collections.deque[tuple] = collections.deque()  # (deadline, endpoint, peer, ack, timeout)
+        self._released: list[tuple] = []  # out of _held before its deadline, not yet closed
         self._thread: threading.Thread | None = None
         self._running = False
 
     def hand_over(self, endpoint, peer, ack: bytes, timeout: float) -> None:
         with self._lock:
             if len(self._held) == _DALLY_SLOTS:
-                endpoint.close()
-                return
+                oldest = min(self._held, key=lambda item: item[0])
+                self._held.remove(oldest)
+                self._released.append(oldest)
             self._held.append((time.monotonic() + _DALLY_HOLD * timeout, endpoint, peer, ack, timeout))
             if not self._running:
                 if self._thread is not None:
@@ -584,20 +584,27 @@ class _Dallier:
     def _run(self) -> None:
         while True:
             with self._lock:
-                if not self._held:
+                now = time.monotonic()
+                expired = [item for item in self._held if item[0] <= now]
+                for item in expired:
+                    self._held.remove(item)
+                ended, self._released = self._released + expired, []
+                if not self._held and not ended:
                     self._running = False
                     return
-                held = list(self._held)
-            for item in held:
-                self._listen(item, len(held))
+                turn = self._held[0] if self._held else None
+                self._held.rotate(-1)
+                shares = len(self._held)
+            for item in ended:
+                self._listen(item, now)  # one last read answers DATA that came in while the thread listened elsewhere
+                item[1].close()
+            if turn is not None:
+                self._listen(turn, min(turn[0], time.monotonic() + turn[4] / 2 / shares))
 
-    def _listen(self, item: tuple, shares: int) -> None:
-        """Answer DATA on one held endpoint for its share of the round; release and close it once its hold ends."""
-        deadline, endpoint, peer, ack, timeout = item
-        until = min(deadline, time.monotonic() + timeout / 2 / shares)
+    def _listen(self, item: tuple, until: float) -> None:
+        """Answer DATA from the item's peer with its final ACK until `until`, reading at least once."""
+        _, endpoint, peer, ack, _ = item
         try:
-            # Past the deadline this still reads once, so DATA that came in
-            # while the thread listened elsewhere is answered before closing.
             while (result := endpoint.recv(max(until - time.monotonic(), 0.0))) is not TIMEOUT:
                 data, src = result
                 with contextlib.suppress(packets.MalformedPacketError):
@@ -606,11 +613,7 @@ class _Dallier:
                 if time.monotonic() >= until:
                     break
         except OSError:
-            pass  # a failed socket has nothing left to answer; it is closed below at its deadline
-        if time.monotonic() >= deadline:
-            with self._lock:
-                self._held.remove(item)
-            endpoint.close()
+            pass  # a failed socket has nothing left to answer; it is closed once its hold ends
 
 
 class _Node:
@@ -645,10 +648,8 @@ class _Node:
         return entry
 
     def _budget_for(self, entry: KeyEntry) -> fixed_time.TimeBudget | None:
-        if self.decrypt_budget is None:
-            return None
-        if isinstance(self.decrypt_budget, fixed_time.TimeBudget):
-            return self.decrypt_budget
+        if self.decrypt_budget != "auto":
+            return self.decrypt_budget  # None (no budget) or a fixed TimeBudget
         with self._budget_lock:
             if entry.kid not in self._budget_cache:
                 budget = calibrate_decrypt_budget(entry)
@@ -689,11 +690,8 @@ class TftpClient(_Node):
                 if session.echoed(reply, security).keyblocks != len(key_payloads):
                     session.abort(packets.ERR_OPTION_REFUSED, "server altered keyblocks")
                 session.enter_phase(Phase.KEY_EXCHANGE)
-            else:
-                if not isinstance(reply, (AckPacket, OptionAck)):
-                    session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
-                if isinstance(reply, AckPacket) and reply.block != 0:
-                    session.abort(None, "unexpected initial ACK block", notify_peer=False)
+            elif reply != AckPacket(block=0) and not isinstance(reply, OptionAck):
+                session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
 
             session.send_stream(data, keys, key_payloads, self.rng)
         return summary
@@ -725,10 +723,8 @@ class TftpClient(_Node):
             else:
                 if isinstance(reply, OptionAck):
                     session.abort(packets.ERR_OPTION_REFUSED, "unsolicited options")
-                if not isinstance(reply, DataPacket):
+                if not isinstance(reply, DataPacket) or reply.block != 1:
                     session.abort(None, f"unexpected reply {reply!r}", notify_peer=False)
-                if reply.block != 1:
-                    session.abort(None, "legacy transfer did not start at block 1", notify_peer=False)
                 payload = session.recv_stream(None, first=reply)  # a legacy transfer already in flight
         return payload, summary
 
@@ -742,7 +738,6 @@ class SessionLog:
     peer: object
     operation: str
     filename: str
-    security: bool
     summary: TransferSummary
 
 
@@ -816,7 +811,7 @@ class TftpServer(_Node):
         self.endpoint.close()
 
     def _run_session(self, request, src, stop) -> None:
-        summary = TransferSummary(security=any(name.lower() == "sec" for name, _ in request.options))
+        summary = TransferSummary(security=packets.asks_for_security(request.options))
         operation = "get" if isinstance(request, ReadRequest) else "put"
         session = _Session(self, src, summary, stop)
         try:
@@ -838,7 +833,6 @@ class TftpServer(_Node):
                         peer=src,
                         operation=operation,
                         filename=request.filename,
-                        security=summary.security,
                         summary=summary,
                     )
                 )

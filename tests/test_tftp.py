@@ -743,6 +743,20 @@ class TestDally:
         assert len(final_data) >= 2
         assert server.session_logs[0].summary.status == "DONE"
 
+    def test_a_hand_over_to_a_full_dallier_ends_the_oldest_hold_and_keeps_the_newest(self):
+        net = SimulatedNetwork(ChannelModel())
+        peer = net.endpoint()
+        held = [net.endpoint() for _ in range(_DALLY_SLOTS + 1)]
+        dallier = _Dallier()
+        for endpoint in held:
+            dallier.hand_over(endpoint, peer.address, b"final ack", 1.0)
+        peer.send(encode_packet(DataPacket(3, b"")), held[-1].address)  # the newest session's final ACK was lost
+        assert peer.recv(1.0) == (b"final ack", held[-1].address)
+        assert wait_for(lambda: held[0].closed, 0.2)
+        assert not any(endpoint.closed for endpoint in held[1:])  # their holds run 1.25 s
+        dallier._thread.join(timeout=5)
+        assert all(endpoint.closed for endpoint in held)
+
     def test_concurrent_hand_overs_close_every_endpoint_once(self):
         """Four threads hand over 200 endpoints; the dallier never reads a closed one."""
         timeout = 0.05
@@ -844,60 +858,52 @@ def request_with(client, call, kid):
     return client.get("f.bin", 1, security)[1]
 
 
-def answer_requests(reply):
-    return lambda packet: reply if isinstance(packet, (ReadRequest, WriteRequest)) else None
+MALFORMED_OACKS = [
+    pytest.param(
+        call,
+        OptionAck((("sec", SEC_SCHEME), ("keyblocks", keyblocks))),
+        id=f"malformed-oack-{call.replace(' ', '-')}-keyblocks-{keyblocks}",
+    )
+    for call in ("put", "secured get", "legacy get")
+    for keyblocks in ("zero", "0")
+]
 
 
 class TestRefusals:
-    """The client refuses a reply that does not answer its request, with one ERROR 8 to the server's TID."""
-
-    @pytest.mark.parametrize("keyblocks", ["zero", "0"])
-    @pytest.mark.parametrize("call", ["put", "secured get", "legacy get"])
-    def test_malformed_oack_fails_the_transfer_with_error_8(self, keystore, call, keyblocks):
-        store, entry = keystore
-        oack = OptionAck((("sec", SEC_SCHEME), ("keyblocks", keyblocks), ("kid", entry.kid)))
-        net = ScriptedServer(answer_requests(oack))
-        client = TftpClient(net, store, rng=random.Random(44), timeout=0.05, decrypt_budget=None)
-        summary = request_with(client, call, entry.kid)
-        assert summary.status == "FAILED" and summary.error_code == 8
-        refusal, dst = net.sent[-1]
-        assert isinstance(refusal, ErrorPacket) and refusal.code == 8 and dst == 200
+    """A request answered by what it cannot use fails with one ERROR 8, and nothing is wrapped or stored."""
 
     @pytest.mark.parametrize(
         "call, reply",
         [
-            ("put", AckPacket(0)),
-            ("put", OptionAck(SecurityOptions(keyblocks=1, kid="k").to_options())),
-            ("secured get", DataPacket(1, b"plain")),
-            ("legacy get", OptionAck(SecurityOptions(keyblocks=2, kid="k").to_options())),
+            pytest.param("put", AckPacket(0), id="put-ack-0"),
+            pytest.param(
+                "put", OptionAck(SecurityOptions(keyblocks=1, kid="k").to_options()), id="put-keyblocks-changed"
+            ),
+            pytest.param("secured get", DataPacket(1, b"plain"), id="secured-get-data-1"),
+            pytest.param(
+                "legacy get", OptionAck(SecurityOptions(keyblocks=2, kid="k").to_options()), id="legacy-get-oack"
+            ),
+            *MALFORMED_OACKS,
         ],
-        ids=["put-ack-0", "put-keyblocks-changed", "secured-get-data-1", "legacy-get-oack"],
     )
     def test_reply_that_does_not_answer_the_request_gets_error_8(self, keystore, call, reply):
         store, entry = keystore  # a 1024-bit key: a put's wrap fills 2 blocks
-        net = ScriptedServer(answer_requests(reply))
+        net = ScriptedServer(lambda packet: reply if isinstance(packet, (ReadRequest, WriteRequest)) else None)
         client = TftpClient(net, store, rng=random.Random(45), timeout=0.05, decrypt_budget=None)
         summary = request_with(client, call, entry.kid)
         assert summary.status == "FAILED" and summary.error_code == 8
         refusal, dst = net.sent[-1]
         assert isinstance(refusal, ErrorPacket) and refusal.code == 8 and dst == 200
 
-    def test_secured_wrq_without_keyblocks_gets_one_error_8(self, tmp_path, keystore):
+    @pytest.mark.parametrize(
+        "request_type, with_known_kid",
+        [(WriteRequest, True), (ReadRequest, False)],
+        ids=["wrq-without-keyblocks", "rrq-for-an-unknown-kid"],
+    )
+    def test_secured_request_the_server_cannot_serve_gets_one_error_8(
+        self, tmp_path, keystore, monkeypatch, request_type, with_known_kid
+    ):
         store, entry = keystore
-        net = SimulatedNetwork(ChannelModel())
-        with running_server(net, tmp_path, store) as server:
-            probe = net.endpoint()
-            options = SecurityOptions(kid=entry.kid).to_options()
-            probe.send(encode_packet(WriteRequest("f.bin", "octet", options)), server.address)
-            replies = [decode_packet(reply[0]) for reply in iter(lambda: probe.recv(0.5), TIMEOUT)]
-            assert wait_for(lambda: len(server.session_logs) == 1)
-        assert len(replies) == 1
-        assert isinstance(replies[0], ErrorPacket) and replies[0].code == 8
-        assert server.session_logs[0].summary.error_code == 8
-        assert list(tmp_path.iterdir()) == []
-
-    def test_secured_rrq_for_an_unknown_kid_gets_error_8_before_any_wrap(self, tmp_path, keystore, monkeypatch):
-        store, _ = keystore
         (tmp_path / "fw.bin").write_bytes(b"firmware")
         wraps = []
         real_key_exchange_send = tftp.key_exchange_send
@@ -907,17 +913,19 @@ class TestRefusals:
             return real_key_exchange_send(*args, **kwargs)
 
         monkeypatch.setattr(tftp, "key_exchange_send", counting_key_exchange_send)
+        options = SecurityOptions(kid=entry.kid if with_known_kid else "f" * 16).to_options()
         net = SimulatedNetwork(ChannelModel())
         with running_server(net, tmp_path, store) as server:
             probe = net.endpoint()
-            options = SecurityOptions(kid="f" * 16).to_options()
-            probe.send(encode_packet(ReadRequest("fw.bin", "octet", options)), server.address)
+            probe.send(encode_packet(request_type("fw.bin", "octet", options)), server.address)
             replies = [decode_packet(reply[0]) for reply in iter(lambda: probe.recv(0.5), TIMEOUT)]
             assert wait_for(lambda: len(server.session_logs) == 1)
         assert len(replies) == 1
         assert isinstance(replies[0], ErrorPacket) and replies[0].code == 8
         assert server.session_logs[0].summary.error_code == 8
         assert wraps == []
+        assert [path.name for path in tmp_path.iterdir()] == ["fw.bin"]
+        assert (tmp_path / "fw.bin").read_bytes() == b"firmware"
 
 
 class TestLiveness:
