@@ -126,9 +126,11 @@ def run_fixed(budget: TimeBudget, operation: Callable[[], object]) -> tuple[obje
     remaining = deadline - now
     if remaining > _SPIN_MARGIN_NS:
         time.sleep((remaining - _SPIN_MARGIN_NS) / 1e9)
-    while time.perf_counter_ns() < deadline:
+    # Report the reading that ended the spin: a second read after the loop
+    # adds a delay that varies with the operation that ran, and so leaks it.
+    while (now := time.perf_counter_ns()) < deadline:
         pass
-    return result, time.perf_counter_ns() - start
+    return result, now - start
 
 
 def observe(operation: Callable[[], object]) -> tuple[object, TimingSample]:
