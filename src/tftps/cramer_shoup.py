@@ -28,6 +28,7 @@ from .groups import (
     mod_exp,
     params_from_mapping,
     params_to_lines,
+    precompute_fixed_base,
     validate_group_params,
 )
 
@@ -111,6 +112,16 @@ def encrypt(pk: CsPublicKey, m: int, r: int) -> CsCiphertext:
     # instead of a full-length one, and the ciphertext is the same.
     v = mod_exp(pk.c * mod_exp(pk.d, alpha, p) % p, r, p)
     return CsCiphertext(u1=u1, u2=u2, e=e, v=v)
+
+
+def precompute(pk: CsPublicKey) -> None:
+    """Build the tables for the bases that ``encrypt`` raises under this key.
+
+    g1, g2 and h take r, and d takes the short alpha; only the per-ciphertext
+    base c * d^alpha stays on ``pow``.  Ciphertexts do not change.
+    """
+    for base in (pk.params.g1, pk.params.g2, pk.h, pk.d):
+        precompute_fixed_base(base, pk.params.p)
 
 
 def encrypt_with_rng(pk: CsPublicKey, m: int, rng: random.Random | None = None) -> CsCiphertext:

@@ -113,6 +113,22 @@ class KeyStore:
         self._entries: dict[str, KeyEntry] = {}
 
     def add(self, pk: CsPublicKey, sk: CsSecretKey | None = None) -> KeyEntry:
+        """Install a key that a secured transfer can use, and precompute its wrap.
+
+        Raises ParameterError for a group too small to wrap the session
+        material, or for c, d or h outside the order-q subgroup or equal to 1.
+        """
+        params = pk.params
+        try:
+            cramer_shoup.encode_message(b"\xff" * records.KEY_MATERIAL_LEN, params)
+        except EncodingError as exc:
+            raise ParameterError(
+                f"a {params.bits}-bit key cannot wrap {records.KEY_MATERIAL_LEN} octets of session material"
+            ) from exc
+        for name, value in (("C", pk.c), ("D", pk.d), ("H", pk.h)):
+            if value == 1 or not params.is_member(value):
+                raise ParameterError(f"public component {name} is not in the order-q subgroup or is 1")
+        cramer_shoup.precompute(pk)
         entry = KeyEntry(kid=cramer_shoup.key_id(pk), public=pk, secret=sk)
         existing = self._entries.get(entry.kid)
         if existing is not None and existing.secret is not None and sk is None:

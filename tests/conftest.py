@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tftps import groups
 from tftps.groups import DESK_PARAMS, gen_group_params
 
 
@@ -23,3 +24,22 @@ def params_1024():
 @pytest.fixture(scope="session")
 def params_2048():
     return gen_group_params(2048, random.Random(0x2048))
+
+
+@pytest.fixture()
+def empty_table_store(monkeypatch):
+    """A fresh fixed-base store, so a test neither sees nor leaves tables."""
+    monkeypatch.setattr(groups, "_fixed_bases", {}, raising=False)
+
+
+@pytest.fixture()
+def pow_calls(monkeypatch):
+    """The argument tuples of every builtin ``pow`` call made inside groups."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(groups, "pow", counted, raising=False)
+    return calls

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tftps import cramer_shoup, groups
 from tftps.cramer_shoup import (
     REJECT,
     CsCiphertext,
@@ -88,6 +89,19 @@ class TestEncrypt:
             m = random_subgroup_element(params_256, rng)
             r = rng.randrange(params_256.q)
             assert encrypt(pk, m, r) == oracle_encrypt(params_256, pk, m, r)
+
+    @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
+    def test_precomputed_key_gives_the_same_ciphertexts(self, request, params_name, empty_table_store):
+        params = request.getfixturevalue(params_name)
+        rng = random.Random(17)
+        pk, _ = keygen(params, rng)
+        cases = [(random_subgroup_element(params, rng), rng.randrange(params.q)) for _ in range(5)]
+        cases.append((cases[0][0], params.q - 1))
+        before = [encrypt(pk, m, r) for m, r in cases]
+        cramer_shoup.precompute(pk)
+        assert len(groups._fixed_bases) == len({params.g1, params.g2, pk.h, pk.d})
+        assert [encrypt(pk, m, r) for m, r in cases] == before
+        assert before == [oracle_encrypt(params, pk, m, r) for m, r in cases]
 
     def test_zero_randomness_degenerate_form(self, desk_params):
         pk, _ = keygen(desk_params, random.Random(14))

@@ -83,6 +83,49 @@ class TestModExp:
         assert trace == [("mod_exp", 3, 3)]
 
 
+
+class TestFixedBaseTables:
+    @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
+    def test_registered_bases_match_pow(self, request, params_name, empty_table_store, pow_calls):
+        params = request.getfixturevalue(params_name)
+        p, q = params.p, params.q
+        rng = random.Random(14)
+        bases = [params.g1, params.g2, random_subgroup_element(params, rng)]
+        for base in bases:
+            groups.precompute_fixed_base(base, p)
+        exponents = [0, 1, 31, 32, q - 1, q, p - 2] + [rng.randrange(p) for _ in range(20)]
+        table_bits = 5 * len(groups._fixed_bases[(params.g1, p)])
+        assert table_bits >= p.bit_length()
+        exponents.append((1 << table_bits) + 3)
+        pow_calls.clear()  # the table builds
+        for base in bases:
+            for exponent in exponents:
+                assert mod_exp(base, exponent, p) == pow(base, exponent, p), (base, exponent)
+        # Only exponents longer than the table fall back to pow.
+        longer = [e for e in exponents if e.bit_length() > table_bits]
+        assert [args[1] for args in pow_calls] == longer * len(bases)
+
+    def test_store_stays_at_its_bound(self, params_256, empty_table_store, pow_calls):
+        p = params_256.p
+        rng = random.Random(15)
+        bases = [random_subgroup_element(params_256, rng) for _ in range(groups._FIXED_BASE_LIMIT + 10)]
+        for base in bases:
+            groups.precompute_fixed_base(base, p)
+        assert len(groups._fixed_bases) == groups._FIXED_BASE_LIMIT
+        assert (bases[-1], p) not in groups._fixed_bases
+        pow_calls.clear()
+        exponent = rng.randrange(params_256.q)
+        assert mod_exp(bases[0], exponent, p) == pow(bases[0], exponent, p) and pow_calls == []
+        assert mod_exp(bases[-1], exponent, p) == pow(bases[-1], exponent, p) and len(pow_calls) == 1
+
+    def test_a_registered_base_builds_no_second_table(self, params_256, empty_table_store):
+        groups.precompute_fixed_base(params_256.g1, params_256.p)
+        table = groups._fixed_bases[(params_256.g1, params_256.p)]
+        groups.precompute_fixed_base(params_256.g1, params_256.p)
+        assert groups._fixed_bases == {(params_256.g1, params_256.p): table}
+        assert groups._fixed_bases[(params_256.g1, params_256.p)] is table
+
+
 class TestElementOrder:
     def test_full_group_generator(self):
         assert element_order(3, 7) == 6

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tftps import arq, cramer_shoup, records, tftp
+from tftps import arq, cramer_shoup, groups, records, tftp
 from tftps.cramer_shoup import keygen
 from tftps.groups import ParameterError
 from tftps.packets import (
@@ -149,6 +149,47 @@ class TestKeyExchange:
     def test_garbage_chunks_fail(self, keypair_1024, params_1024):
         _, sk = keypair_1024
         assert key_exchange_receive([b"not a ciphertext"], sk, params_1024) is SECURITY_FAILURE
+
+
+class TestKeyStore:
+    def test_a_key_too_small_to_wrap_the_material_is_refused(self, params_256):
+        pk, sk = keygen(params_256, random.Random(6))
+        with pytest.raises(ParameterError, match="cannot wrap"):
+            KeyStore().add(pk, sk)
+
+    @pytest.mark.parametrize("field", ["C", "D", "H"])
+    def test_a_key_file_with_a_component_outside_the_subgroup_is_refused(self, tmp_path, keypair_1024, field):
+        pk, sk = keypair_1024
+        p = pk.params.p
+        for bad in (p - 1, 1, 0, p):
+            path = tmp_path / "bad.key"
+            cramer_shoup.write_secret_file(path, pk, sk)
+            lines = [f"{field}={bad:x}" if line.startswith(f"{field}=") else line for line in path.read_text().splitlines()]
+            path.write_text("\n".join(lines) + "\n")
+            store = KeyStore()
+            with pytest.raises(ParameterError, match=f"component {field}"):
+                store.load_file(path)
+            assert len(store) == 0
+
+    def test_a_wrap_under_a_keystore_key_raises_one_base_with_pow(self, keypair_1024, empty_table_store, pow_calls):
+        pk, sk = keypair_1024
+        KeyStore().add(pk, sk)
+        pow_calls.clear()  # the table builds
+        material, chunks = key_exchange_send(pk, random.Random(2))
+        assert len(pow_calls) == 1  # c * d^alpha, the one per-ciphertext base
+        assert key_exchange_receive(chunks, sk, pk.params).enc_key == material[:32]
+
+    def test_re_adding_a_key_builds_no_table(self, keypair_1024, empty_table_store, monkeypatch):
+        builds = []
+        build = groups._fixed_base_table
+        monkeypatch.setattr(groups, "_fixed_base_table", lambda *args: builds.append(args) or build(*args))
+        pk, sk = keypair_1024
+        store = KeyStore()
+        store.add(pk, sk)
+        assert len(builds) == 4  # g1, g2, h and d
+        store.add(pk, sk)
+        KeyStore().add(pk)
+        assert len(builds) == 4 and len(groups._fixed_bases) == 4
 
 
 class TestEndToEnd:
