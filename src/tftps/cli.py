@@ -19,7 +19,7 @@ import threading
 import time
 from pathlib import Path
 
-from . import cramer_shoup, games, packets, tftp, transport
+from . import cramer_shoup, games, packets, records, tftp, transport
 from .groups import ParameterError, gen_group_params
 from .packets import SecurityOptions, TransferPolicy
 
@@ -76,6 +76,12 @@ def _print_json(payload: dict) -> None:
 # keygen
 # ---------------------------------------------------------------------------
 
+# The smallest p, in bits, whose keys a keystore accepts: the session
+# material's encoding, 0x01 then 64 octets, is a 513-bit integer that must
+# be below q, so q >= 2^513 and p = 2q + 1 has at least 515 bits.
+_MIN_TRANSFER_KEY_BITS = 8 * records.KEY_MATERIAL_LEN + 3
+
+
 def cmd_keygen(args) -> int:
     rng = _rng_from(args.seed)
     out_dir = Path(args.out)
@@ -94,6 +100,12 @@ def cmd_keygen(args) -> int:
         cramer_shoup.write_secret_file(key_path, pk, sk)
     except OSError as exc:
         raise CliError(EXIT_CONFIG, f"cannot write key files: {exc}") from exc
+    if params.bits < _MIN_TRANSFER_KEY_BITS:
+        print(
+            f"note: a {params.bits}-bit key is for the games only; a secured transfer "
+            f"needs at least {_MIN_TRANSFER_KEY_BITS} bits",
+            file=sys.stderr,
+        )
     if args.json:
         _print_json({"kid": kid, "bits": args.bits, "public": str(pub_path), "secret": str(key_path)})
     else:

@@ -29,6 +29,7 @@ from .groups import (
     params_from_mapping,
     params_to_lines,
     precompute_fixed_base,
+    scoped_fixed_base,
     validate_group_params,
 )
 
@@ -108,19 +109,20 @@ def encrypt(pk: CsPublicKey, m: int, r: int) -> CsCiphertext:
     u2 = mod_exp(params.g2, r, p)
     e = mod_exp(pk.h, r, p) * m % p
     alpha = hash_to_scalar(u1, u2, e, q)
-    # c^r * d^(r*alpha) = (c * d^alpha)^r: d^alpha takes a 256-bit exponent
-    # instead of a full-length one, and the ciphertext is the same.
-    v = mod_exp(pk.c * mod_exp(pk.d, alpha, p) % p, r, p)
+    # v = (c * d^alpha)^r, raised as c^r * d^(r*alpha mod q), which is equal
+    # because c and d have order q: both bases are the key's own, so a
+    # precomputed key raises all five bases through tables.
+    v = mod_exp(pk.c, r, p) * mod_exp(pk.d, r * alpha % q, p) % p
     return CsCiphertext(u1=u1, u2=u2, e=e, v=v)
 
 
 def precompute(pk: CsPublicKey) -> None:
-    """Build the tables for the bases that ``encrypt`` raises under this key.
+    """Build the tables for the five bases that ``encrypt`` raises under this key.
 
-    g1, g2 and h take r, and d takes the short alpha; only the per-ciphertext
-    base c * d^alpha stays on ``pow``.  Ciphertexts do not change.
+    g1, g2, h and c take r, and d takes r * alpha mod q, so a wrap calls
+    ``pow`` for none of them.  Ciphertexts do not change.
     """
-    for base in (pk.params.g1, pk.params.g2, pk.h, pk.d):
+    for base in (pk.params.g1, pk.params.g2, pk.h, pk.c, pk.d):
         precompute_fixed_base(base, pk.params.p)
 
 
@@ -141,7 +143,9 @@ def decrypt(sk: CsSecretKey, params: GroupParams, ct: CsCiphertext):
     exponents x1 + y1*alpha and x2 + y2*alpha are reduced mod q only when
     u1 and u2 are subgroup members (a public property, tested with a cheap
     Jacobi symbol); for adversarial non-members the unreduced integers keep
-    the comparison sound.
+    the comparison sound.  u1 is raised twice, so both powers go through one
+    table of u1 built for this call (``scoped_fixed_base``); an unreduced
+    exponent is longer than that table and goes to ``pow``.
     """
     p, q = params.p, params.q
     for name, value in (("u1", ct.u1), ("u2", ct.u2), ("e", ct.e), ("v", ct.v)):
@@ -152,10 +156,11 @@ def decrypt(sk: CsSecretKey, params: GroupParams, ct: CsCiphertext):
     a2 = sk.x2 + sk.y2 * alpha
     if params.is_member(ct.u1) and params.is_member(ct.u2):
         a1, a2 = a1 % q, a2 % q
-    check = mod_exp(ct.u1, a1, p) * mod_exp(ct.u2, a2, p) % p
+    with scoped_fixed_base(ct.u1, p):
+        check = mod_exp(ct.u1, a1, p) * mod_exp(ct.u2, a2, p) % p
+        # u1^z inverted via the subgroup order: (u1^z)^-1 = u1^(q - z).
+        recovered = ct.e * mod_exp(ct.u1, (q - sk.z) % q, p) % p
     valid = check == ct.v
-    # u1^z inverted via the subgroup order: (u1^z)^-1 = u1^(q - z).
-    recovered = ct.e * mod_exp(ct.u1, (q - sk.z) % q, p) % p
     return recovered if valid else REJECT
 
 

@@ -12,9 +12,10 @@ small prime and its primitive roots) are supported alongside production
 1024/2048-bit groups.
 
 Every exponentiation goes through ``mod_exp``.  It uses the builtin ``pow``,
-except for a public base registered with ``precompute_fixed_base``: those
-are raised through a table of the base's powers, which costs about a fifth
-of the multiplications.  Neither path is constant-time.
+except for a base that has a table of its powers, which costs about a fifth
+of the multiplications: a public base registered with
+``precompute_fixed_base`` for good, or one base for the calling thread
+inside a ``scoped_fixed_base`` block.  Neither path is constant-time.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ def trace_operations():
 def mod_exp(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus.
 
-    A (base, modulus) pair registered with ``precompute_fixed_base`` is
-    raised through its table when the exponent fits the table; everything
-    else uses the builtin ``pow``.  Neither path is constant-time: CPython's
+    A (base, modulus) pair registered with ``precompute_fixed_base``, or
+    the pair of the calling thread's ``scoped_fixed_base`` block, is raised
+    through its table when the exponent fits the table; everything else
+    uses the builtin ``pow``.  Neither path is constant-time: CPython's
     big-int arithmetic takes time that depends on the operand values, and
     the table path's time depends on the exponent's base-32 digits.  The
     timing defence for secret exponents is the padding that
@@ -126,7 +128,10 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     trace = getattr(_trace_local, "trace", None)
     if trace is not None:
         trace.append(("mod_exp", exponent.bit_length(), modulus.bit_length()))
-    table = _fixed_bases.get((base, modulus))
+    key = (base, modulus)
+    table = _fixed_bases.get(key)
+    if table is None and _scope.key == key:
+        table = _scope.table
     if table is not None and exponent.bit_length() <= _WINDOW_BITS * len(table):
         return _table_pow(table, exponent, modulus)
     return pow(base, exponent, modulus)
@@ -144,7 +149,7 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
 # ---------------------------------------------------------------------------
 
 _WINDOW_BITS = 5
-# About 0.12 MB per base at 2048 bits; a keystore key registers four.
+# About 0.12 MB per base at 2048 bits; a keystore key registers five.
 _FIXED_BASE_LIMIT = 64
 
 # Published tables, keyed by (base, modulus).  Readers look them up without
@@ -169,12 +174,42 @@ def precompute_fixed_base(base: int, modulus: int) -> None:
             _fixed_bases.setdefault(key, table)
 
 
+class _Scope(threading.local):
+    key: tuple[int, int] | None = None
+    table: tuple[int, ...] = ()
+
+
+_scope = _Scope()
+
+
+@contextlib.contextmanager
+def scoped_fixed_base(base: int, modulus: int):
+    """Let ``mod_exp`` raise base mod modulus through a table in this thread until the block ends.
+
+    For a base raised more than once that changes from call to call, such
+    as a ciphertext's u1: building the table costs about one ``pow``, and
+    each exponentiation through it about a fifth of one.  The table never
+    enters the shared store, so untrusted bases cannot fill it.  On exit,
+    exceptions included, the thread's previous scope comes back.
+    """
+    previous = _scope.key, _scope.table
+    _scope.table = _fixed_base_table(base, modulus)
+    _scope.key = (base, modulus)
+    try:
+        yield
+    finally:
+        _scope.key, _scope.table = previous
+
+
 def _fixed_base_table(base: int, modulus: int) -> tuple[int, ...]:
     digits = -(-modulus.bit_length() // _WINDOW_BITS)
     power = base % modulus
     table = [power]
     for _ in range(digits - 1):
-        power = pow(power, 1 << _WINDOW_BITS, modulus)
+        # Five squarings, as fast as pow(power, 32, modulus); every pow
+        # call left in this module is then a whole exponentiation.
+        for _ in range(_WINDOW_BITS):
+            power = power * power % modulus
         table.append(power)
     return tuple(table)
 
@@ -357,18 +392,28 @@ def validate_group_params(params: GroupParams) -> list[str]:
 @functools.lru_cache(maxsize=16)
 def _group_violations(params: GroupParams) -> tuple[str, ...]:
     violations = []
-    if not is_probable_prime(params.p, rounds=64):
-        violations.append(f"p={params.p} is not prime")
-    if not is_probable_prime(params.q, rounds=64):
-        violations.append(f"q={params.q} is not prime")
-    if params.p != 2 * params.q + 1:
+    p, q = params.p, params.q
+    q_prime = is_probable_prime(q, rounds=64)
+    if q_prime and q > 2 and p == 2 * q + 1:
+        # Pocklington's criterion with the prime factor q > sqrt(p) - 1 of
+        # p - 1 (Brillhart, Lehmer & Selfridge, Math. Comp. 29, 1975): p is
+        # prime iff 2^(p-1) = 1 (mod p) and gcd(2^2 - 1, p) = 1.  One
+        # exponentiation where Miller-Rabin takes 64.
+        p_prime = p % 3 != 0 and pow(2, p - 1, p) == 1
+    else:
+        p_prime = is_probable_prime(p, rounds=64)
+    if not p_prime:
+        violations.append(f"p={p} is not prime")
+    if not q_prime:
+        violations.append(f"q={q} is not prime")
+    if p != 2 * q + 1:
         violations.append("p != 2q + 1")
     for name, g in (("g1", params.g1), ("g2", params.g2)):
-        if not 1 <= g < params.p:
+        if not 1 <= g < p:
             violations.append(f"{name}={g} out of range [1, p)")
         elif g == 1:
             violations.append(f"{name} is the identity")
-        elif mod_exp(g, params.q, params.p) != 1:
+        elif mod_exp(g, q, p) != 1:
             violations.append(f"{name} is not in the order-q subgroup")
     if params.g1 == params.g2:
         violations.append("g1 == g2")

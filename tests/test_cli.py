@@ -37,6 +37,15 @@ class TestKeygen:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"kid", "bits", "public", "secret"}
 
+    def test_a_key_too_small_for_transfers_gets_a_note(self, tmp_path, capsys):
+        assert run_cli("keygen", "--bits", "256", "--out", str(tmp_path), "--seed", "5") == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.strip()) == 16
+        assert captured.err.count("\n") == 1
+        assert "games only" in captured.err and "at least 515 bits" in captured.err
+        assert run_cli("keygen", "--bits", "1024", "--out", str(tmp_path), "--seed", "5") == 0
+        assert capsys.readouterr().err == ""
+
     def test_toy_keys_work_with_the_game_runner(self, tmp_path, capsys):
         assert run_cli("keygen", "--bits", "8", "--out", str(tmp_path), "--seed", "3", "--name", "toy") == 0
         pk, sk = cramer_shoup.load_key_file(tmp_path / "toy.key")

@@ -1,5 +1,8 @@
+import collections
 import hashlib
+import itertools
 import random
+import threading
 
 import pytest
 
@@ -7,6 +10,7 @@ from tftps import cramer_shoup, groups
 from tftps.cramer_shoup import (
     REJECT,
     CsCiphertext,
+    CsSecretKey,
     EncodingError,
     ciphertext_from_bytes,
     ciphertext_to_bytes,
@@ -47,6 +51,14 @@ def oracle_encrypt(params, pk, m, r):
     alpha = oracle_hash(u1, u2, e, q)
     v = pow(pk.c, r, p) * pow(pk.d, r * alpha, p) % p
     return CsCiphertext(u1=u1, u2=u2, e=e, v=v)
+
+
+def oracle_decrypt(params, sk, ct):
+    """Independent oracle: the builtin pow on unreduced exponents, equal to decrypt's for members."""
+    p, q = params.p, params.q
+    alpha = oracle_hash(ct.u1, ct.u2, ct.e, q)
+    check = pow(ct.u1, sk.x1 + sk.y1 * alpha, p) * pow(ct.u2, sk.x2 + sk.y2 * alpha, p) % p
+    return ct.e * pow(ct.u1, (q - sk.z) % q, p) % p if check == ct.v else REJECT
 
 
 class TestKeygen:
@@ -99,7 +111,7 @@ class TestEncrypt:
         cases.append((cases[0][0], params.q - 1))
         before = [encrypt(pk, m, r) for m, r in cases]
         cramer_shoup.precompute(pk)
-        assert len(groups._fixed_bases) == len({params.g1, params.g2, pk.h, pk.d})
+        assert len(groups._fixed_bases) == len({params.g1, params.g2, pk.h, pk.c, pk.d})
         assert [encrypt(pk, m, r) for m, r in cases] == before
         assert before == [oracle_encrypt(params, pk, m, r) for m, r in cases]
 
@@ -131,18 +143,18 @@ class TestEncrypt:
         pk, _ = keygen(desk_params, random.Random(17))
         assert encrypt(pk, 9, 7) == encrypt(pk, 9, 7)
 
-    def test_four_full_length_exponentiations_and_one_short(self, params_1024):
-        # v = (c * d^alpha)^r: the hash scalar alpha is the only short exponent.
+    def test_four_exponentiations_by_r_and_one_by_r_alpha(self, params_1024):
+        # v = c^r * d^(r*alpha mod q): g1, g2, h and c take r, then d takes r*alpha mod q.
         rng = random.Random(18)
         pk, _ = keygen(params_1024, rng)
         m = random_subgroup_element(params_1024, rng)
-        r = params_1024.q - 1
+        q = params_1024.q
+        r = q - 1
         with trace_operations() as trace:
-            encrypt(pk, m, r)
-        bits = sorted(exponent_bits for _, exponent_bits, _ in trace)
-        assert len(bits) == 5
-        assert bits[0] <= 256
-        assert bits[1:] == [r.bit_length()] * 4
+            ct = encrypt(pk, m, r)
+        alpha = oracle_hash(ct.u1, ct.u2, ct.e, q)
+        bits = [exponent_bits for _, exponent_bits, _ in trace]
+        assert bits == [r.bit_length()] * 4 + [(r * alpha % q).bit_length()]
 
 
 class TestDecrypt:
@@ -213,6 +225,83 @@ class TestDecrypt:
         pk, sk = keygen(desk_params, rng)
         ct = encrypt(pk, 9, 7)
         assert decrypt(sk, desk_params, CsCiphertext(5, ct.u2, ct.e, ct.v)) is REJECT
+
+
+class TestUnwrapTable:
+    @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
+    def test_matches_the_pow_oracle(self, request, params_name, empty_table_store):
+        params = request.getfixturevalue(params_name)
+        p, q = params.p, params.q
+        rng = random.Random(23)
+        pk, sk = keygen(params, rng)
+        ct = encrypt(pk, random_subgroup_element(params, rng), rng.randrange(1, q))
+        non_residue = next(t for t in itertools.count(2) if pow(t, q, p) != 1)
+        cases = [ct, CsCiphertext(ct.u1, ct.u2, ct.e, ct.v * params.g1 % p)]
+        for u1 in (p - 1, 1, non_residue):
+            forged = CsCiphertext(u1, ct.u2, ct.e, ct.v)
+            alpha = oracle_hash(u1, ct.u2, ct.e, q)
+            # The same u1 with the v that passes the check, so recovery is compared too.
+            v = pow(u1, sk.x1 + sk.y1 * alpha, p) * pow(ct.u2, sk.x2 + sk.y2 * alpha, p) % p
+            cases += [forged, CsCiphertext(u1, ct.u2, ct.e, v)]
+        results = [decrypt(sk, params, case) for case in cases]
+        assert results == [oracle_decrypt(params, sk, case) for case in cases]
+        assert results[0] != REJECT and results[1] is REJECT
+        assert sum(result is not REJECT for result in results[2:]) >= 3
+
+    def test_a_member_ciphertext_calls_pow_once(self, params_1024, empty_table_store, pow_calls):
+        rng = random.Random(24)
+        pk, sk = keygen(params_1024, rng)
+        m = random_subgroup_element(params_1024, rng)
+        ct = encrypt_with_rng(pk, m, rng)
+        pow_calls.clear()
+        assert decrypt(sk, params_1024, ct) == m
+        assert [args[0] for args in pow_calls] == [ct.u2]  # u1's two powers take its table
+
+    def test_no_table_outlives_the_unwrap(self, params_256, empty_table_store):
+        rng = random.Random(25)
+        pk, sk = keygen(params_256, rng)
+        p = params_256.p
+        m = random_subgroup_element(params_256, rng)
+        ct = encrypt_with_rng(pk, m, rng)
+        with groups.scoped_fixed_base(params_256.g1, p):
+            assert decrypt(sk, params_256, ct) == m
+            assert groups._scope.key == (params_256.g1, p)
+        assert groups._scope.key is None and groups._fixed_bases == {}
+        # A secret key no keygen makes: with a non-member u1 the exponent
+        # x1 + y1 * alpha stays unreduced and negative, so mod_exp raises
+        # inside the unwrap's scope.
+        bad = CsSecretKey(x1=-(p**3), x2=sk.x2, y1=sk.y1, y2=sk.y2, z=sk.z)
+        with pytest.raises(ParameterError):
+            decrypt(bad, params_256, CsCiphertext(p - 1, ct.u2, ct.e, ct.v))
+        assert groups._scope.key is None and groups._fixed_bases == {}
+
+    def test_two_threads_unwrap_at_once(self, params_256, empty_table_store, monkeypatch):
+        rng = random.Random(26)
+        pk, sk = keygen(params_256, rng)
+        messages = [random_subgroup_element(params_256, rng) for _ in range(2)]
+        cts = [encrypt_with_rng(pk, m, rng) for m in messages]
+        both_in_scope = threading.Barrier(2, timeout=10)
+        table_pows = collections.Counter()
+        table_pow = groups._table_pow
+
+        def counted_table_pow(*args):
+            both_in_scope.wait()  # each raise of a u1 waits until the other thread raises its own
+            table_pows[threading.get_ident()] += 1
+            return table_pow(*args)
+
+        monkeypatch.setattr(groups, "_table_pow", counted_table_pow)
+        results = [None, None]
+
+        def unwrap(i):
+            results[i] = decrypt(sk, params_256, cts[i])
+
+        threads = [threading.Thread(target=unwrap, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert results == messages
+        assert sorted(table_pows.values()) == [2, 2]
 
 
 class TestHashToScalar:

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -125,6 +126,23 @@ class TestFixedBaseTables:
         assert groups._fixed_bases == {(params_256.g1, params_256.p): table}
         assert groups._fixed_bases[(params_256.g1, params_256.p)] is table
 
+    def test_a_scoped_base_takes_a_table_in_its_thread_until_the_block_ends(self, params_256, empty_table_store, pow_calls):
+        p, g1, g2 = params_256.p, params_256.g1, params_256.g2
+        exponent = random.Random(16).randrange(params_256.q)
+        other_thread = []
+        with groups.scoped_fixed_base(g1, p):
+            with groups.scoped_fixed_base(g2, p):
+                assert mod_exp(g2, exponent, p) == pow(g2, exponent, p) and pow_calls == []
+                assert mod_exp(g1, exponent, p) == pow(g1, exponent, p) and len(pow_calls) == 1
+                thread = threading.Thread(target=lambda: other_thread.append(mod_exp(g2, exponent, p)))
+                thread.start()
+                thread.join()
+                assert other_thread == [pow(g2, exponent, p)] and len(pow_calls) == 2
+            pow_calls.clear()
+            assert mod_exp(g1, exponent, p) == pow(g1, exponent, p) and pow_calls == []
+        assert mod_exp(g1, exponent, p) == pow(g1, exponent, p) and len(pow_calls) == 1
+        assert groups._fixed_bases == {}
+
 
 class TestElementOrder:
     def test_full_group_generator(self):
@@ -239,10 +257,29 @@ class TestValidateGroupParams:
 
         monkeypatch.setattr(groups, "is_probable_prime", counting_is_probable_prime)
         cramer_shoup.keygen(params, random.Random(1))
-        assert sorted(proofs) == sorted([params.p, params.q])
+        assert proofs == [params.q]  # p = 2q + 1 is proved from q
         proofs.clear()
         cramer_shoup.keygen(params, random.Random(2))
         assert proofs == []
+
+    def test_composite_p_with_prime_q_is_flagged(self):
+        assert "p=15 is not prime" in validate_group_params(GroupParams(p=15, q=7, g1=4, g2=9))
+        # A 256-bit prime q with q = 2 (mod 3), so that 3 does not divide p = 2q + 1
+        # and the Fermat test on p decides.
+        rng = random.Random(0x0F0C)
+        while True:
+            q = rng.randrange(1 << 254, 1 << 255) | 1
+            if q % 3 == 2 and is_probable_prime(q) and not is_probable_prime(2 * q + 1):
+                break
+        violations = validate_group_params(GroupParams(p=2 * q + 1, q=q, g1=4, g2=9))
+        assert f"p={2 * q + 1} is not prime" in violations
+        assert f"q={q} is not prime" not in violations
+
+    @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024", "params_2048"])
+    def test_every_fixture_group_keeps_its_verdict(self, request, params_name):
+        params = request.getfixturevalue(params_name)
+        assert validate_group_params(params) == []
+        assert is_probable_prime(params.p)  # Miller-Rabin agrees with the proof from q
 
     def test_caller_cannot_change_the_remembered_verdict(self):
         params = GroupParams(p=23, q=11, g1=1, g2=9)
