@@ -12,10 +12,9 @@ small prime and its primitive roots) are supported alongside production
 1024/2048-bit groups.
 
 Every exponentiation goes through ``mod_exp``.  It uses the builtin ``pow``,
-except for a base that has a table of its powers, which costs about a fifth
-of the multiplications: a public base registered with
-``precompute_fixed_base`` for good, or one base for the calling thread
-inside a ``scoped_fixed_base`` block.  Neither path is constant-time.
+or, when the caller passes a table of the base's powers from
+``fixed_base_table``, raises the base through that table at about a fifth
+of the multiplications.  Neither path is constant-time.
 """
 
 from __future__ import annotations
@@ -109,17 +108,16 @@ def trace_operations():
         _trace_local.trace = None
 
 
-def mod_exp(base: int, exponent: int, modulus: int) -> int:
+def mod_exp(base: int, exponent: int, modulus: int, table: tuple[int, ...] | None = None) -> int:
     """base**exponent mod modulus.
 
-    A (base, modulus) pair registered with ``precompute_fixed_base``, or
-    the pair of the calling thread's ``scoped_fixed_base`` block, is raised
-    through its table when the exponent fits the table; everything else
-    uses the builtin ``pow``.  Neither path is constant-time: CPython's
-    big-int arithmetic takes time that depends on the operand values, and
-    the table path's time depends on the exponent's base-32 digits.  The
-    timing defence for secret exponents is the padding that
-    ``fixed_time.run_fixed`` puts around the key unwrap, not this function.
+    table, if given, is ``fixed_base_table(base, modulus)``; the base is
+    raised through it when the exponent fits it, and by the builtin ``pow``
+    otherwise.  Neither path is constant-time: CPython's big-int arithmetic
+    takes time that depends on the operand values, and the table path's time
+    depends on the exponent's base-32 digits.  The timing defence for secret
+    exponents is the padding that ``fixed_time.run_fixed`` puts around the
+    key unwrap, not this function.
     """
     if modulus < 2:
         raise ParameterError(f"modulus must be >= 2, got {modulus}")
@@ -128,10 +126,6 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     trace = getattr(_trace_local, "trace", None)
     if trace is not None:
         trace.append(("mod_exp", exponent.bit_length(), modulus.bit_length()))
-    key = (base, modulus)
-    table = _fixed_bases.get(key)
-    if table is None and _scope.key == key:
-        table = _scope.table
     if table is not None and exponent.bit_length() <= _WINDOW_BITS * len(table):
         return _table_pow(table, exponent, modulus)
     return pow(base, exponent, modulus)
@@ -139,69 +133,20 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Fixed-base exponentiation (Brickell, Gordon, McCurley & Wilson, "Fast
-# exponentiation with precomputation", EUROCRYPT '92).  A registered base g
-# keeps the table g^(32^i) mod p for every base-32 digit of an exponent as
-# long as p.  Writing e = sum d_i 32^i, g^e is the product over d = 31..1 of
-# (product of the g^(32^i) with d_i = d)^d, which the bucket method gets in
-# one multiplication per nonzero digit plus 62: about 460 multiplications at
-# 2048 bits, where ``pow`` needs about 2,460.  The tables hold only public
-# values.
+# exponentiation with precomputation", EUROCRYPT '92).  The table of a base g
+# holds g^(32^i) mod p for every base-32 digit of an exponent as long as p.
+# Writing e = sum d_i 32^i, g^e is the product over d = 31..1 of (product of
+# the g^(32^i) with d_i = d)^d, which the bucket method gets in one
+# multiplication per nonzero digit plus 62: about 460 multiplications at 2048
+# bits, where ``pow`` needs about 2,460.  A table costs about one ``pow`` to
+# build and 0.12 MB at 2048 bits.
 # ---------------------------------------------------------------------------
 
 _WINDOW_BITS = 5
-# About 0.12 MB per base at 2048 bits; a keystore key registers five.
-_FIXED_BASE_LIMIT = 64
-
-# Published tables, keyed by (base, modulus).  Readers look them up without
-# the lock; a table is complete before it is inserted.
-_fixed_bases: dict[tuple[int, int], tuple[int, ...]] = {}
-_fixed_bases_lock = threading.Lock()
 
 
-def precompute_fixed_base(base: int, modulus: int) -> None:
-    """Let ``mod_exp`` raise base mod modulus through a table from now on.
-
-    For public values only.  The table covers every exponent no longer than
-    the modulus.  Once the store holds its bound of tables, further bases
-    stay on ``pow``; a base that already has a table builds nothing.
-    """
-    key = (base, modulus)
-    if key in _fixed_bases or len(_fixed_bases) >= _FIXED_BASE_LIMIT:
-        return
-    table = _fixed_base_table(base, modulus)
-    with _fixed_bases_lock:
-        if len(_fixed_bases) < _FIXED_BASE_LIMIT:
-            _fixed_bases.setdefault(key, table)
-
-
-class _Scope(threading.local):
-    key: tuple[int, int] | None = None
-    table: tuple[int, ...] = ()
-
-
-_scope = _Scope()
-
-
-@contextlib.contextmanager
-def scoped_fixed_base(base: int, modulus: int):
-    """Let ``mod_exp`` raise base mod modulus through a table in this thread until the block ends.
-
-    For a base raised more than once that changes from call to call, such
-    as a ciphertext's u1: building the table costs about one ``pow``, and
-    each exponentiation through it about a fifth of one.  The table never
-    enters the shared store, so untrusted bases cannot fill it.  On exit,
-    exceptions included, the thread's previous scope comes back.
-    """
-    previous = _scope.key, _scope.table
-    _scope.table = _fixed_base_table(base, modulus)
-    _scope.key = (base, modulus)
-    try:
-        yield
-    finally:
-        _scope.key, _scope.table = previous
-
-
-def _fixed_base_table(base: int, modulus: int) -> tuple[int, ...]:
+def fixed_base_table(base: int, modulus: int) -> tuple[int, ...]:
+    """The table through which ``mod_exp`` raises base mod modulus to any exponent no longer than the modulus."""
     digits = -(-modulus.bit_length() // _WINDOW_BITS)
     power = base % modulus
     table = [power]
@@ -383,8 +328,9 @@ def gen_group_params(bit_length: int, rng: random.Random | None = None) -> Group
 def validate_group_params(params: GroupParams) -> list[str]:
     """Return a list of violated invariants; empty means the params are sound.
 
-    Memoised per params (the primality proofs dominate keygen); every call
-    returns a fresh list.
+    The standardized moduli of ``gen_group_params`` are recognised by value;
+    any other p and q are proved.  Memoised per params (the primality proofs
+    dominate keygen); every call returns a fresh list.
     """
     return list(_group_violations(params))
 
@@ -393,8 +339,11 @@ def validate_group_params(params: GroupParams) -> list[str]:
 def _group_violations(params: GroupParams) -> tuple[str, ...]:
     violations = []
     p, q = params.p, params.q
-    q_prime = is_probable_prime(q, rounds=64)
-    if q_prime and q > 2 and p == 2 * q + 1:
+    if p == 2 * q + 1 and _WELL_KNOWN_SAFE_PRIMES.get(p.bit_length()) == p:
+        # RFC 2409 section 6.2 and RFC 3526 section 3 publish these moduli as
+        # safe primes; recognising them by value spares 64 rounds on q.
+        p_prime = q_prime = True
+    elif (q_prime := is_probable_prime(q, rounds=64)) and q > 2 and p == 2 * q + 1:
         # Pocklington's criterion with the prime factor q > sqrt(p) - 1 of
         # p - 1 (Brillhart, Lehmer & Selfridge, Math. Comp. 29, 1975): p is
         # prime iff 2^(p-1) = 1 (mod p) and gcd(2^2 - 1, p) = 1.  One

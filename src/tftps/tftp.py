@@ -49,7 +49,7 @@ from pathlib import Path
 
 from . import arq, cramer_shoup, fixed_time, packets, records
 from .cramer_shoup import REJECT, CsPublicKey, CsSecretKey, EncodingError
-from .groups import GroupParams, ParameterError, Sentinel
+from .groups import GroupParams, ParameterError, Sentinel, validate_group_params
 from .packets import (
     AckPacket,
     DataPacket,
@@ -113,12 +113,18 @@ class KeyStore:
         self._entries: dict[str, KeyEntry] = {}
 
     def add(self, pk: CsPublicKey, sk: CsSecretKey | None = None) -> KeyEntry:
-        """Install a key that a secured transfer can use, and precompute its wrap.
+        """Install a key that a secured transfer can use, with the tables of its wrap.
 
-        Raises ParameterError for a group too small to wrap the session
-        material, or for c, d or h outside the order-q subgroup or equal to 1.
+        The entry's public key is ``cramer_shoup.precompute(pk)``; re-adding
+        an equal key reuses the tables of the entry it replaces.  Raises
+        ParameterError for an invalid group, a group too small to wrap the
+        session material, or c, d or h outside the order-q subgroup or equal
+        to 1.
         """
         params = pk.params
+        violations = validate_group_params(params)
+        if violations:
+            raise ParameterError("invalid group parameters: " + "; ".join(violations))
         try:
             cramer_shoup.encode_message(b"\xff" * records.KEY_MATERIAL_LEN, params)
         except EncodingError as exc:
@@ -128,12 +134,14 @@ class KeyStore:
         for name, value in (("C", pk.c), ("D", pk.d), ("H", pk.h)):
             if value == 1 or not params.is_member(value):
                 raise ParameterError(f"public component {name} is not in the order-q subgroup or is 1")
-        cramer_shoup.precompute(pk)
-        entry = KeyEntry(kid=cramer_shoup.key_id(pk), public=pk, secret=sk)
-        existing = self._entries.get(entry.kid)
+        kid = cramer_shoup.key_id(pk)
+        existing = self._entries.get(kid)
         if existing is not None and existing.secret is not None and sk is None:
             return existing  # never downgrade a secret entry to public-only
-        self._entries[entry.kid] = entry
+        if existing is not None and existing.public == pk:
+            pk = existing.public  # its tables are built
+        entry = KeyEntry(kid=kid, public=cramer_shoup.precompute(pk), secret=sk)
+        self._entries[kid] = entry
         return entry
 
     def load_file(self, path: str | Path) -> KeyEntry:
@@ -900,7 +908,10 @@ class TftpServer(_Node):
         session.recv_stream(initial, keyblocks, entry, budget, on_final=store)
 
     def _serve_read(self, session: _Session, source: Path, sec: SecurityOptions | None, entry) -> None:
-        data = source.read_bytes()
+        try:
+            data = source.read_bytes()
+        except OSError as exc:
+            session.abort(packets.ERR_ACCESS_VIOLATION, f"cannot read file: {exc}")
         keys, key_payloads = None, []
         if sec is not None:
             keys, key_payloads = session.wrap(entry, self.rng)

@@ -27,12 +27,6 @@ def params_2048():
 
 
 @pytest.fixture()
-def empty_table_store(monkeypatch):
-    """A fresh fixed-base store, so a test neither sees nor leaves tables."""
-    monkeypatch.setattr(groups, "_fixed_bases", {}, raising=False)
-
-
-@pytest.fixture()
 def pow_calls(monkeypatch):
     """The argument tuples of every builtin ``pow`` call made inside groups."""
     calls = []

@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import itertools
 import random
@@ -103,16 +104,17 @@ class TestEncrypt:
             assert encrypt(pk, m, r) == oracle_encrypt(params_256, pk, m, r)
 
     @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
-    def test_precomputed_key_gives_the_same_ciphertexts(self, request, params_name, empty_table_store):
+    def test_precomputed_key_gives_the_same_ciphertexts(self, request, params_name):
         params = request.getfixturevalue(params_name)
         rng = random.Random(17)
         pk, _ = keygen(params, rng)
         cases = [(random_subgroup_element(params, rng), rng.randrange(params.q)) for _ in range(5)]
         cases.append((cases[0][0], params.q - 1))
         before = [encrypt(pk, m, r) for m, r in cases]
-        cramer_shoup.precompute(pk)
-        assert len(groups._fixed_bases) == len({params.g1, params.g2, pk.h, pk.c, pk.d})
-        assert [encrypt(pk, m, r) for m, r in cases] == before
+        precomputed = cramer_shoup.precompute(pk)
+        assert set(precomputed.tables) == {params.g1, params.g2, pk.h, pk.c, pk.d}
+        assert precomputed == pk
+        assert [encrypt(precomputed, m, r) for m, r in cases] == before
         assert before == [oracle_encrypt(params, pk, m, r) for m, r in cases]
 
     def test_zero_randomness_degenerate_form(self, desk_params):
@@ -229,7 +231,7 @@ class TestDecrypt:
 
 class TestUnwrapTable:
     @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
-    def test_matches_the_pow_oracle(self, request, params_name, empty_table_store):
+    def test_matches_the_pow_oracle(self, request, params_name):
         params = request.getfixturevalue(params_name)
         p, q = params.p, params.q
         rng = random.Random(23)
@@ -248,7 +250,7 @@ class TestUnwrapTable:
         assert results[0] != REJECT and results[1] is REJECT
         assert sum(result is not REJECT for result in results[2:]) >= 3
 
-    def test_a_member_ciphertext_calls_pow_once(self, params_1024, empty_table_store, pow_calls):
+    def test_a_member_ciphertext_calls_pow_once(self, params_1024, pow_calls):
         rng = random.Random(24)
         pk, sk = keygen(params_1024, rng)
         m = random_subgroup_element(params_1024, rng)
@@ -257,25 +259,27 @@ class TestUnwrapTable:
         assert decrypt(sk, params_1024, ct) == m
         assert [args[0] for args in pow_calls] == [ct.u2]  # u1's two powers take its table
 
-    def test_no_table_outlives_the_unwrap(self, params_256, empty_table_store):
+    def test_no_table_outlives_the_unwrap(self, params_256, monkeypatch):
         rng = random.Random(25)
         pk, sk = keygen(params_256, rng)
         p = params_256.p
         m = random_subgroup_element(params_256, rng)
         ct = encrypt_with_rng(pk, m, rng)
-        with groups.scoped_fixed_base(params_256.g1, p):
-            assert decrypt(sk, params_256, ct) == m
-            assert groups._scope.key == (params_256.g1, p)
-        assert groups._scope.key is None and groups._fixed_bases == {}
+        built = []
+        build = groups.fixed_base_table
+        monkeypatch.setattr(cramer_shoup, "fixed_base_table", lambda *args: built.append(build(*args)) or built[-1])
+        assert decrypt(sk, params_256, ct) == m
         # A secret key no keygen makes: with a non-member u1 the exponent
         # x1 + y1 * alpha stays unreduced and negative, so mod_exp raises
-        # inside the unwrap's scope.
+        # inside the unwrap.
         bad = CsSecretKey(x1=-(p**3), x2=sk.x2, y1=sk.y1, y2=sk.y2, z=sk.z)
         with pytest.raises(ParameterError):
             decrypt(bad, params_256, CsCiphertext(p - 1, ct.u2, ct.e, ct.v))
-        assert groups._scope.key is None and groups._fixed_bases == {}
+        gc.collect()
+        assert len(built) == 2
+        assert all(gc.get_referrers(table) == [built] for table in built)  # only this test holds them
 
-    def test_two_threads_unwrap_at_once(self, params_256, empty_table_store, monkeypatch):
+    def test_two_threads_unwrap_at_once(self, params_256, monkeypatch):
         rng = random.Random(26)
         pk, sk = keygen(params_256, rng)
         messages = [random_subgroup_element(params_256, rng) for _ in range(2)]

@@ -1,5 +1,5 @@
 import random
-import threading
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +20,20 @@ from tftps.groups import (
     trace_operations,
     validate_group_params,
 )
+
+
+@pytest.fixture()
+def proofs(monkeypatch):
+    """Every number groups runs Miller-Rabin on, in order."""
+    tested = []
+    real_is_probable_prime = groups.is_probable_prime
+
+    def counting_is_probable_prime(n, *args, **kwargs):
+        tested.append(n)
+        return real_is_probable_prime(n, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "is_probable_prime", counting_is_probable_prime)
+    return tested
 
 
 def slow_power(base, exponent, modulus):
@@ -87,61 +101,35 @@ class TestModExp:
 
 class TestFixedBaseTables:
     @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
-    def test_registered_bases_match_pow(self, request, params_name, empty_table_store, pow_calls):
+    def test_registered_bases_match_pow(self, request, params_name, pow_calls):
         params = request.getfixturevalue(params_name)
         p, q = params.p, params.q
         rng = random.Random(14)
-        bases = [params.g1, params.g2, random_subgroup_element(params, rng)]
-        for base in bases:
-            groups.precompute_fixed_base(base, p)
-        exponents = [0, 1, 31, 32, q - 1, q, p - 2] + [rng.randrange(p) for _ in range(20)]
-        table_bits = 5 * len(groups._fixed_bases[(params.g1, p)])
+        pk, _ = cramer_shoup.keygen(params, rng)
+        tables = cramer_shoup.precompute(pk).tables
+        table_bits = 5 * len(tables[params.g1])
         assert table_bits >= p.bit_length()
-        exponents.append((1 << table_bits) + 3)
-        pow_calls.clear()  # the table builds
-        for base in bases:
+        exponents = [0, 1, 31, 32, q - 1, q, p - 2, (1 << table_bits) - 1, (1 << table_bits) + 3]
+        exponents += [rng.randrange(p) for _ in range(20)]
+        pow_calls.clear()  # keygen's
+        for base, table in tables.items():
             for exponent in exponents:
-                assert mod_exp(base, exponent, p) == pow(base, exponent, p), (base, exponent)
+                assert mod_exp(base, exponent, p, table) == pow(base, exponent, p), (base, exponent)
         # Only exponents longer than the table fall back to pow.
         longer = [e for e in exponents if e.bit_length() > table_bits]
-        assert [args[1] for args in pow_calls] == longer * len(bases)
-
-    def test_store_stays_at_its_bound(self, params_256, empty_table_store, pow_calls):
-        p = params_256.p
-        rng = random.Random(15)
-        bases = [random_subgroup_element(params_256, rng) for _ in range(groups._FIXED_BASE_LIMIT + 10)]
-        for base in bases:
-            groups.precompute_fixed_base(base, p)
-        assert len(groups._fixed_bases) == groups._FIXED_BASE_LIMIT
-        assert (bases[-1], p) not in groups._fixed_bases
+        assert [args[1] for args in pow_calls] == longer * len(tables)
         pow_calls.clear()
-        exponent = rng.randrange(params_256.q)
-        assert mod_exp(bases[0], exponent, p) == pow(bases[0], exponent, p) and pow_calls == []
-        assert mod_exp(bases[-1], exponent, p) == pow(bases[-1], exponent, p) and len(pow_calls) == 1
+        assert mod_exp(params.g1, q - 1, p) == pow(params.g1, q - 1, p) and len(pow_calls) == 1  # no table given
 
-    def test_a_registered_base_builds_no_second_table(self, params_256, empty_table_store):
-        groups.precompute_fixed_base(params_256.g1, params_256.p)
-        table = groups._fixed_bases[(params_256.g1, params_256.p)]
-        groups.precompute_fixed_base(params_256.g1, params_256.p)
-        assert groups._fixed_bases == {(params_256.g1, params_256.p): table}
-        assert groups._fixed_bases[(params_256.g1, params_256.p)] is table
-
-    def test_a_scoped_base_takes_a_table_in_its_thread_until_the_block_ends(self, params_256, empty_table_store, pow_calls):
-        p, g1, g2 = params_256.p, params_256.g1, params_256.g2
-        exponent = random.Random(16).randrange(params_256.q)
-        other_thread = []
-        with groups.scoped_fixed_base(g1, p):
-            with groups.scoped_fixed_base(g2, p):
-                assert mod_exp(g2, exponent, p) == pow(g2, exponent, p) and pow_calls == []
-                assert mod_exp(g1, exponent, p) == pow(g1, exponent, p) and len(pow_calls) == 1
-                thread = threading.Thread(target=lambda: other_thread.append(mod_exp(g2, exponent, p)))
-                thread.start()
-                thread.join()
-                assert other_thread == [pow(g2, exponent, p)] and len(pow_calls) == 2
-            pow_calls.clear()
-            assert mod_exp(g1, exponent, p) == pow(g1, exponent, p) and pow_calls == []
-        assert mod_exp(g1, exponent, p) == pow(g1, exponent, p) and len(pow_calls) == 1
-        assert groups._fixed_bases == {}
+    def test_a_registered_base_builds_no_second_table(self, params_256, monkeypatch):
+        builds = []
+        build = groups.fixed_base_table
+        monkeypatch.setattr(cramer_shoup, "fixed_base_table", lambda *args: builds.append(args) or build(*args))
+        pk, _ = cramer_shoup.keygen(params_256, random.Random(15))
+        precomputed = cramer_shoup.precompute(pk)
+        assert len(builds) == len(precomputed.tables) == len({params_256.g1, params_256.g2, pk.h, pk.c, pk.d})
+        assert cramer_shoup.precompute(precomputed) is precomputed
+        assert len(builds) == len(precomputed.tables) and pk.tables == {}
 
 
 class TestElementOrder:
@@ -246,21 +234,35 @@ class TestValidateGroupParams:
         violations = validate_group_params(GroupParams(p=23, q=11, g1=4, g2=4))
         assert "g1 == g2" in violations
 
-    def test_keygen_proves_each_group_once(self, monkeypatch):
-        params = gen_group_params(1024, random.Random(0x0C0FFEE))
-        proofs = []
-        real_is_probable_prime = groups.is_probable_prime
-
-        def counting_is_probable_prime(n, *args, **kwargs):
-            proofs.append(n)
-            return real_is_probable_prime(n, *args, **kwargs)
-
-        monkeypatch.setattr(groups, "is_probable_prime", counting_is_probable_prime)
+    def test_keygen_proves_each_group_once(self, proofs):
+        params = gen_group_params(128, random.Random(0x0C0FFEE))
+        proofs.clear()  # the search's
         cramer_shoup.keygen(params, random.Random(1))
         assert proofs == [params.q]  # p = 2q + 1 is proved from q
         proofs.clear()
         cramer_shoup.keygen(params, random.Random(2))
         assert proofs == []
+
+    @pytest.mark.parametrize("bits", [1024, 2048])
+    def test_a_standard_modulus_is_recognised_by_value(self, bits, proofs):
+        params = gen_group_params(bits, random.Random(0x5EED + bits))
+        cramer_shoup.keygen(params, random.Random(1))
+        # The generators are still checked.
+        assert "g1 is not in the order-q subgroup" in validate_group_params(replace(params, g1=params.p - 1))
+        assert "g1 == g2" in validate_group_params(replace(params, g1=params.g2))
+        assert proofs == []
+
+    @pytest.mark.parametrize("bits", [1024, 2048])
+    def test_a_modulus_one_bit_off_a_standard_value_is_proved_in_full(self, bits, proofs):
+        standard = gen_group_params(bits, random.Random(0x0C0FFEE))
+        for bit in (1, 100, bits - 2):
+            p = standard.p ^ (1 << bit)
+            params = GroupParams(p=p, q=(p - 1) // 2, g1=standard.g1, g2=standard.g2)
+            proofs.clear()
+            violations = validate_group_params(params)
+            assert proofs[0] == params.q
+            assert (f"q={params.q} is not prime" in violations) != is_probable_prime(params.q)
+            assert (f"p={p} is not prime" in violations) != is_probable_prime(p)
 
     def test_composite_p_with_prime_q_is_flagged(self):
         assert "p=15 is not prime" in validate_group_params(GroupParams(p=15, q=7, g1=4, g2=9))

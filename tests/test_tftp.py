@@ -15,6 +15,7 @@ from tftps import arq, cramer_shoup, groups, records, tftp
 from tftps.cramer_shoup import keygen
 from tftps.groups import ParameterError
 from tftps.packets import (
+    ERR_ACCESS_VIOLATION,
     ERR_DISK_FULL,
     ERR_NOT_DEFINED,
     ERR_SECURITY,
@@ -171,24 +172,47 @@ class TestKeyStore:
                 store.load_file(path)
             assert len(store) == 0
 
-    def test_a_wrap_under_a_keystore_key_raises_no_base_with_pow(self, keypair_1024, empty_table_store, pow_calls):
+    def test_a_key_file_with_a_composite_p_is_refused(self, tmp_path, keypair_1024):
         pk, sk = keypair_1024
-        KeyStore().add(pk, sk)
-        material, chunks = key_exchange_send(pk, random.Random(2))
+        path = tmp_path / "bad.key"
+        cramer_shoup.write_secret_file(path, pk, sk)
+        p = pk.params.p + 18  # 5 divides it
+        q = (p - 1) // 2
+        edited = {"p": f"p={p:x}", "q": f"q={q:x}"}
+        lines = [edited.get(line.partition("=")[0], line) for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        store = KeyStore()
+        with pytest.raises(ParameterError, match=f"invalid group parameters: p={p} is not prime"):
+            store.load_file(path)
+        assert len(store) == 0
+
+    def test_a_wrap_under_a_keystore_key_raises_no_base_with_pow(self, keypair_1024, pow_calls):
+        pk, sk = keypair_1024
+        entry = KeyStore().add(pk, sk)
+        material, chunks = key_exchange_send(entry.public, random.Random(2))
         assert pow_calls == []  # g1, g2, h, c and d all take a table
         assert key_exchange_receive(chunks, sk, pk.params).enc_key == material[:32]
 
-    def test_re_adding_a_key_builds_no_table(self, keypair_1024, empty_table_store, monkeypatch):
+    def test_a_key_outside_every_keystore_wraps_with_pow(self, keypair_1024, pow_calls):
+        pk, sk = keypair_1024
+        KeyStore().add(pk, sk)  # an equal key, with tables, in some store
+        pow_calls.clear()
+        material, chunks = key_exchange_send(pk, random.Random(2))
+        assert len(pow_calls) == 5
+        assert key_exchange_receive(chunks, sk, pk.params).enc_key == material[:32]
+
+    def test_re_adding_a_key_builds_no_table(self, keypair_1024, monkeypatch):
         builds = []
-        build = groups._fixed_base_table
-        monkeypatch.setattr(groups, "_fixed_base_table", lambda *args: builds.append(args) or build(*args))
+        build = groups.fixed_base_table
+        monkeypatch.setattr(cramer_shoup, "fixed_base_table", lambda *args: builds.append(args) or build(*args))
         pk, sk = keypair_1024
         store = KeyStore()
-        store.add(pk, sk)
+        entry = store.add(pk, sk)
         assert len(builds) == 5  # g1, g2, h, c and d
-        store.add(pk, sk)
-        KeyStore().add(pk)
-        assert len(builds) == 5 and len(groups._fixed_bases) == 5
+        assert store.add(pk, sk).public is entry.public
+        assert store.add(pk).public is entry.public
+        KeyStore().add(entry.public)  # a key that brings its tables
+        assert len(builds) == 5
 
 
 class TestEndToEnd:
@@ -491,6 +515,26 @@ class TestFailureModes:
         assert not summary.ok and summary.error_code == ERR_DISK_FULL
         assert (tmp_path / "fw.bin").read_bytes() == b"old firmware"
         assert [child.name for child in tmp_path.iterdir()] == ["fw.bin"]
+
+    def test_a_file_the_server_cannot_read_gets_error_2(self, tmp_path, keystore, monkeypatch):
+        store, _ = keystore
+        target = tmp_path / "fw.bin"
+        target.write_bytes(b"firmware")
+        real_read_bytes = Path.read_bytes
+
+        def refused_for_target(path):
+            if path == target:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refused_for_target)
+        net = SimulatedNetwork(ChannelModel())
+        with running_server(net, tmp_path, store) as server:
+            client = TftpClient(net, store, rng=random.Random(38), timeout=0.1, decrypt_budget=None)
+            payload, summary = client.get("fw.bin", server.address, None)
+            assert summary.error_code == ERR_ACCESS_VIOLATION and payload is None
+            assert wait_for(lambda: len(server.session_logs) == 1)
+        assert [(log.summary.status, log.summary.error_code) for log in server.session_logs] == [("FAILED", ERR_ACCESS_VIOLATION)]
 
 
 class TestResourceBounds:
