@@ -17,15 +17,13 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .groups import (
     GroupParams,
     ParameterError,
     Sentinel,
-    fixed_base_table,
     jacobi_symbol,
     mod_exp,
     params_from_mapping,
@@ -59,17 +57,12 @@ class CsSecretKey:
 
 @dataclass(frozen=True)
 class CsPublicKey:
-    """Public components c = g1^x1*g2^x2, d = g1^y1*g2^y2, h = g1^z.
-
-    tables maps a base to its ``fixed_base_table``; ``precompute`` fills it
-    for the bases ``encrypt`` raises.  It takes no part in equality.
-    """
+    """Public components c = g1^x1*g2^x2, d = g1^y1*g2^y2, h = g1^z."""
 
     params: GroupParams
     c: int
     d: int
     h: int
-    tables: Mapping[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -110,29 +103,14 @@ def encrypt(pk: CsPublicKey, m: int, r: int) -> CsCiphertext:
         raise ParameterError(f"r must be in [0, q), got {r}")
     if not params.is_member(m):
         raise EncodingError("message is not a member of the order-q subgroup")
-    tables = pk.tables
-    u1 = mod_exp(params.g1, r, p, tables.get(params.g1))
-    u2 = mod_exp(params.g2, r, p, tables.get(params.g2))
-    e = mod_exp(pk.h, r, p, tables.get(pk.h)) * m % p
+    u1 = mod_exp(params.g1, r, p)
+    u2 = mod_exp(params.g2, r, p)
+    e = mod_exp(pk.h, r, p) * m % p
     alpha = hash_to_scalar(u1, u2, e, q)
     # v = (c * d^alpha)^r, raised as c^r * d^(r*alpha mod q), which is equal
-    # because c and d have order q: both bases are the key's own, so a
-    # precomputed key raises all five bases through tables.
-    v = mod_exp(pk.c, r, p, tables.get(pk.c)) * mod_exp(pk.d, r * alpha % q, p, tables.get(pk.d)) % p
+    # because c and d have order q.
+    v = mod_exp(pk.c, r, p) * mod_exp(pk.d, r * alpha % q, p) % p
     return CsCiphertext(u1=u1, u2=u2, e=e, v=v)
-
-
-def precompute(pk: CsPublicKey) -> CsPublicKey:
-    """Return pk with the tables of the five bases that ``encrypt`` raises under it.
-
-    g1, g2, h and c take r, and d takes r * alpha mod q, so a wrap under the
-    returned key calls ``pow`` for none of them.  Ciphertexts do not change.
-    A key that already has the five tables is returned as it is.
-    """
-    bases = {pk.params.g1, pk.params.g2, pk.h, pk.c, pk.d}
-    if bases <= pk.tables.keys():
-        return pk
-    return replace(pk, tables={base: fixed_base_table(base, pk.params.p) for base in bases})
 
 
 def encrypt_with_rng(pk: CsPublicKey, m: int, rng: random.Random | None = None) -> CsCiphertext:
@@ -152,9 +130,8 @@ def decrypt(sk: CsSecretKey, params: GroupParams, ct: CsCiphertext):
     exponents x1 + y1*alpha and x2 + y2*alpha are reduced mod q only when
     u1 and u2 are subgroup members (a public property, tested with a cheap
     Jacobi symbol); for adversarial non-members the unreduced integers keep
-    the comparison sound.  u1 is raised twice, so both powers go through one
-    table of u1 built for this call; an unreduced exponent is longer than
-    that table and goes to ``pow``.
+    the comparison sound.  Its three exponentiations go through ``mod_exp``,
+    so OpenSSL computes them in every production group.
     """
     p, q = params.p, params.q
     for name, value in (("u1", ct.u1), ("u2", ct.u2), ("e", ct.e), ("v", ct.v)):
@@ -165,10 +142,9 @@ def decrypt(sk: CsSecretKey, params: GroupParams, ct: CsCiphertext):
     a2 = sk.x2 + sk.y2 * alpha
     if params.is_member(ct.u1) and params.is_member(ct.u2):
         a1, a2 = a1 % q, a2 % q
-    u1_table = fixed_base_table(ct.u1, p)
-    check = mod_exp(ct.u1, a1, p, u1_table) * mod_exp(ct.u2, a2, p) % p
+    check = mod_exp(ct.u1, a1, p) * mod_exp(ct.u2, a2, p) % p
     # u1^z inverted via the subgroup order: (u1^z)^-1 = u1^(q - z).
-    recovered = ct.e * mod_exp(ct.u1, (q - sk.z) % q, p, u1_table) % p
+    recovered = ct.e * mod_exp(ct.u1, (q - sk.z) % q, p) % p
     valid = check == ct.v
     return recovered if valid else REJECT
 

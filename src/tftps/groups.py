@@ -11,10 +11,11 @@ Small demonstration groups (including the full multiplicative group of a
 small prime and its primitive roots) are supported alongside production
 1024/2048-bit groups.
 
-Every exponentiation goes through ``mod_exp``.  It uses the builtin ``pow``,
-or, when the caller passes a table of the base's powers from
-``fixed_base_table``, raises the base through that table at about a fifth
-of the multiplications.  Neither path is constant-time.
+Every exponentiation goes through ``mod_exp``.  For an odd modulus of
+512 to 10,000 bits, which covers every production group, it raises through
+OpenSSL's Montgomery exponentiation, which took a ninth of the builtin
+``pow``'s time at 2048 bits on a 2-vCPU x86 host; every other modulus keeps
+``pow``.  Neither path is claimed to be constant-time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import functools
 import random
 import threading
 from dataclasses import dataclass
+
+from cryptography.hazmat.primitives import serialization
 
 
 class ParameterError(ValueError):
@@ -108,16 +111,14 @@ def trace_operations():
         _trace_local.trace = None
 
 
-def mod_exp(base: int, exponent: int, modulus: int, table: tuple[int, ...] | None = None) -> int:
+def mod_exp(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus.
 
-    table, if given, is ``fixed_base_table(base, modulus)``; the base is
-    raised through it when the exponent fits it, and by the builtin ``pow``
-    otherwise.  Neither path is constant-time: CPython's big-int arithmetic
-    takes time that depends on the operand values, and the table path's time
-    depends on the exponent's base-32 digits.  The timing defence for secret
-    exponents is the padding that ``fixed_time.run_fixed`` puts around the
-    key unwrap, not this function.
+    An odd modulus of 512 to 10,000 bits goes to OpenSSL (``_openssl_pow``),
+    any other to the builtin ``pow``; both give the same value.  Neither path
+    is claimed to be constant-time.  The timing defence for secret exponents
+    is the padding that ``fixed_time.run_fixed`` puts around the key unwrap,
+    not this function.
     """
     if modulus < 2:
         raise ParameterError(f"modulus must be >= 2, got {modulus}")
@@ -126,54 +127,55 @@ def mod_exp(base: int, exponent: int, modulus: int, table: tuple[int, ...] | Non
     trace = getattr(_trace_local, "trace", None)
     if trace is not None:
         trace.append(("mod_exp", exponent.bit_length(), modulus.bit_length()))
-    if table is not None and exponent.bit_length() <= _WINDOW_BITS * len(table):
-        return _table_pow(table, exponent, modulus)
+    if modulus & 1 and _OPENSSL_MIN_BITS <= modulus.bit_length() <= _OPENSSL_MAX_BITS:
+        return _openssl_pow(base, exponent, modulus)
     return pow(base, exponent, modulus)
 
 
 # ---------------------------------------------------------------------------
-# Fixed-base exponentiation (Brickell, Gordon, McCurley & Wilson, "Fast
-# exponentiation with precomputation", EUROCRYPT '92).  The table of a base g
-# holds g^(32^i) mod p for every base-32 digit of an exponent as long as p.
-# Writing e = sum d_i 32^i, g^e is the product over d = 31..1 of (product of
-# the g^(32^i) with d_i = d)^d, which the bucket method gets in one
-# multiplication per nonzero digit plus 62: about 460 multiplications at 2048
-# bits, where ``pow`` needs about 2,460.  A table costs about one ``pow`` to
-# build and 0.12 MB at 2048 bits.
+# The OpenSSL kernel.  The ``cryptography`` package exposes no modular
+# exponentiation, but loading a Diffie-Hellman private key makes OpenSSL
+# derive its public value y = g^x mod p.  So base**exponent mod modulus
+# is the y of a PKCS#8 key with p = modulus, g = base mod modulus and private
+# value x = exponent.  Loading by DER runs none of OpenSSL's parameter
+# checks, where ``DHPrivateNumbers.private_key`` checks p for primality on
+# every call, and it accepts any x and g, where a DH ``exchange`` panics when
+# the shared value is 1 or p - 1.  OpenSSL refuses a modulus below 512 bits
+# or above 10,000 bits, and an even one.
 # ---------------------------------------------------------------------------
 
-_WINDOW_BITS = 5
+_OPENSSL_MIN_BITS = 512
+_OPENSSL_MAX_BITS = 10_000
+
+# AlgorithmIdentifier.algorithm of PKCS #3 dhKeyAgreement, 1.2.840.113549.1.3.1.
+_DH_KEY_AGREEMENT_OID = bytes.fromhex("06092a864886f70d010301")
 
 
-def fixed_base_table(base: int, modulus: int) -> tuple[int, ...]:
-    """The table through which ``mod_exp`` raises base mod modulus to any exponent no longer than the modulus."""
-    digits = -(-modulus.bit_length() // _WINDOW_BITS)
-    power = base % modulus
-    table = [power]
-    for _ in range(digits - 1):
-        # Five squarings, as fast as pow(power, 32, modulus); every pow
-        # call left in this module is then a whole exponentiation.
-        for _ in range(_WINDOW_BITS):
-            power = power * power % modulus
-        table.append(power)
-    return tuple(table)
+def _der(tag: int, body: bytes) -> bytes:
+    """One DER tag-length-value with a definite length."""
+    length = len(body)
+    if length < 0x80:
+        return bytes((tag, length)) + body
+    octets = length.to_bytes((length.bit_length() + 7) // 8, "big")
+    return bytes((tag, 0x80 | len(octets))) + octets + body
 
 
-def _table_pow(table: tuple[int, ...], exponent: int, modulus: int) -> int:
-    buckets = [1] * (1 << _WINDOW_BITS)
-    mask = (1 << _WINDOW_BITS) - 1
-    for power in table:
-        if not exponent:
-            break
-        digit = exponent & mask
-        if digit:
-            buckets[digit] = buckets[digit] * power % modulus
-        exponent >>= _WINDOW_BITS
-    result = running = 1
-    for digit in range(mask, 0, -1):
-        running = running * buckets[digit] % modulus
-        result = result * running % modulus
-    return result
+def _der_integer(value: int) -> bytes:
+    """A non-negative INTEGER; the extra leading octet keeps its sign bit clear."""
+    return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
+
+
+def _openssl_pow(base: int, exponent: int, modulus: int) -> int:
+    """base**exponent mod an odd modulus of 512 to 10,000 bits, computed by OpenSSL."""
+    parameters = _der(0x30, _der_integer(modulus) + _der_integer(base % modulus))  # PKCS #3 DHParameter
+    private_key_info = _der(
+        0x30,
+        _der_integer(0)  # version
+        + _der(0x30, _DH_KEY_AGREEMENT_OID + parameters)
+        + _der(0x04, _der_integer(exponent)),
+    )
+    key = serialization.load_der_private_key(private_key_info, None)
+    return key.private_numbers().public_numbers.y
 
 
 def element_order(g: int, p: int) -> int:

@@ -113,13 +113,12 @@ class KeyStore:
         self._entries: dict[str, KeyEntry] = {}
 
     def add(self, pk: CsPublicKey, sk: CsSecretKey | None = None) -> KeyEntry:
-        """Install a key that a secured transfer can use, with the tables of its wrap.
+        """Install a key that a secured transfer can use.
 
-        The entry's public key is ``cramer_shoup.precompute(pk)``; re-adding
-        an equal key reuses the tables of the entry it replaces.  Raises
-        ParameterError for an invalid group, a group too small to wrap the
-        session material, or c, d or h outside the order-q subgroup or equal
-        to 1.
+        Raises ParameterError for an invalid group, a group too small to wrap
+        the session material, or c, d or h outside the order-q subgroup or
+        equal to 1.  Re-adding a key without its secret keeps the entry that
+        has it.
         """
         params = pk.params
         violations = validate_group_params(params)
@@ -138,9 +137,7 @@ class KeyStore:
         existing = self._entries.get(kid)
         if existing is not None and existing.secret is not None and sk is None:
             return existing  # never downgrade a secret entry to public-only
-        if existing is not None and existing.public == pk:
-            pk = existing.public  # its tables are built
-        entry = KeyEntry(kid=kid, public=cramer_shoup.precompute(pk), secret=sk)
+        entry = KeyEntry(kid=kid, public=pk, secret=sk)
         self._entries[kid] = entry
         return entry
 
@@ -232,8 +229,18 @@ def key_exchange_receive(
     return records.derive_session_keys(material)
 
 
+# Added to the calibrated decrypt budget: host noise slows work by
+# milliseconds whatever its length, so 1.5 x the slowest of 30 quiet
+# 2048-bit unwraps (9-14 ms) alone overran one padded unwrap in about 100
+# during benchmark runs on a shared 2-vCPU host.
+_DECRYPT_ALLOWANCE_NS = 20_000_000
+
+
 def calibrate_decrypt_budget(entry: KeyEntry) -> fixed_time.TimeBudget:
-    """Worst-case budget for unwrapping key material under this entry's key."""
+    """Worst-case budget for unwrapping key material under this entry's key.
+
+    1.5 x the slowest of 30 unwraps, plus a fixed allowance for host noise.
+    """
     if entry.secret is None:
         raise ParameterError(f"key {entry.kid} has no secret half to calibrate with")
     rng = random.Random(0xC0DEC)
@@ -242,12 +249,13 @@ def calibrate_decrypt_budget(entry: KeyEntry) -> fixed_time.TimeBudget:
     ct = cramer_shoup.encrypt_with_rng(entry.public, element, rng)
     wire_len = len(cramer_shoup.ciphertext_to_bytes(ct))
     op_class = fixed_time.OpClass(name="cs.decrypt", input_length=wire_len)
-    return fixed_time.calibrate(
+    budget = fixed_time.calibrate(
         op_class,
         lambda: cramer_shoup.decrypt(entry.secret, entry.params, ct),
         n_samples=30,
         safety_factor=1.5,
     )
+    return replace(budget, budget_ns=budget.budget_ns + _DECRYPT_ALLOWANCE_NS)
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,17 @@ def pow_calls(monkeypatch):
 
     monkeypatch.setattr(groups, "pow", counted, raising=False)
     return calls
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The argument tuples of every ``groups._openssl_pow`` call."""
+    calls = []
+    kernel = groups._openssl_pow
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(groups, "_openssl_pow", counted)
+    return calls

@@ -1,5 +1,4 @@
 import collections
-import gc
 import hashlib
 import itertools
 import random
@@ -7,7 +6,7 @@ import threading
 
 import pytest
 
-from tftps import cramer_shoup, groups
+from tftps import groups
 from tftps.cramer_shoup import (
     REJECT,
     CsCiphertext,
@@ -102,20 +101,6 @@ class TestEncrypt:
             m = random_subgroup_element(params_256, rng)
             r = rng.randrange(params_256.q)
             assert encrypt(pk, m, r) == oracle_encrypt(params_256, pk, m, r)
-
-    @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
-    def test_precomputed_key_gives_the_same_ciphertexts(self, request, params_name):
-        params = request.getfixturevalue(params_name)
-        rng = random.Random(17)
-        pk, _ = keygen(params, rng)
-        cases = [(random_subgroup_element(params, rng), rng.randrange(params.q)) for _ in range(5)]
-        cases.append((cases[0][0], params.q - 1))
-        before = [encrypt(pk, m, r) for m, r in cases]
-        precomputed = cramer_shoup.precompute(pk)
-        assert set(precomputed.tables) == {params.g1, params.g2, pk.h, pk.c, pk.d}
-        assert precomputed == pk
-        assert [encrypt(precomputed, m, r) for m, r in cases] == before
-        assert before == [oracle_encrypt(params, pk, m, r) for m, r in cases]
 
     def test_zero_randomness_degenerate_form(self, desk_params):
         pk, _ = keygen(desk_params, random.Random(14))
@@ -239,73 +224,78 @@ class TestUnwrapTable:
         ct = encrypt(pk, random_subgroup_element(params, rng), rng.randrange(1, q))
         non_residue = next(t for t in itertools.count(2) if pow(t, q, p) != 1)
         cases = [ct, CsCiphertext(ct.u1, ct.u2, ct.e, ct.v * params.g1 % p)]
-        for u1 in (p - 1, 1, non_residue):
-            forged = CsCiphertext(u1, ct.u2, ct.e, ct.v)
-            alpha = oracle_hash(u1, ct.u2, ct.e, q)
-            # The same u1 with the v that passes the check, so recovery is compared too.
-            v = pow(u1, sk.x1 + sk.y1 * alpha, p) * pow(ct.u2, sk.x2 + sk.y2 * alpha, p) % p
-            cases += [forged, CsCiphertext(u1, ct.u2, ct.e, v)]
+        for u1, u2 in ((p - 1, ct.u2), (1, ct.u2), (non_residue, ct.u2), (ct.u1, 1), (ct.u1, p - 1)):
+            forged = CsCiphertext(u1, u2, ct.e, ct.v)
+            alpha = oracle_hash(u1, u2, ct.e, q)
+            # The same u1 and u2 with the v that passes the check, so recovery is compared too.
+            v = pow(u1, sk.x1 + sk.y1 * alpha, p) * pow(u2, sk.x2 + sk.y2 * alpha, p) % p
+            cases += [forged, CsCiphertext(u1, u2, ct.e, v)]
         results = [decrypt(sk, params, case) for case in cases]
         assert results == [oracle_decrypt(params, sk, case) for case in cases]
         assert results[0] != REJECT and results[1] is REJECT
-        assert sum(result is not REJECT for result in results[2:]) >= 3
+        assert sum(result is not REJECT for result in results[2:]) >= 5
 
-    def test_a_member_ciphertext_calls_pow_once(self, params_1024, pow_calls):
+    @pytest.mark.parametrize(
+        "params_name, wrap, unwrap", [("params_256", (0, 5), (0, 3)), ("params_1024", (5, 0), (3, 0))]
+    )
+    def test_a_wrap_and_an_unwrap_split_between_the_kernel_and_pow(
+        self, request, params_name, wrap, unwrap, pow_calls, kernel_calls
+    ):
+        params = request.getfixturevalue(params_name)
         rng = random.Random(24)
-        pk, sk = keygen(params_1024, rng)
-        m = random_subgroup_element(params_1024, rng)
-        ct = encrypt_with_rng(pk, m, rng)
+        pk, sk = keygen(params, rng)
+        m = random_subgroup_element(params, rng)
+        kernel_calls.clear()  # keygen's
         pow_calls.clear()
-        assert decrypt(sk, params_1024, ct) == m
-        assert [args[0] for args in pow_calls] == [ct.u2]  # u1's two powers take its table
-
-    def test_no_table_outlives_the_unwrap(self, params_256, monkeypatch):
-        rng = random.Random(25)
-        pk, sk = keygen(params_256, rng)
-        p = params_256.p
-        m = random_subgroup_element(params_256, rng)
         ct = encrypt_with_rng(pk, m, rng)
-        built = []
-        build = groups.fixed_base_table
-        monkeypatch.setattr(cramer_shoup, "fixed_base_table", lambda *args: built.append(build(*args)) or built[-1])
-        assert decrypt(sk, params_256, ct) == m
+        assert (len(kernel_calls), len(pow_calls)) == wrap
+        kernel_calls.clear()
+        pow_calls.clear()
+        assert decrypt(sk, params, ct) == m
+        assert (len(kernel_calls), len(pow_calls)) == unwrap
+
+    @pytest.mark.parametrize("params_name", ["params_256", "params_1024"])
+    def test_a_negative_unreduced_exponent_raises_inside_the_unwrap(self, request, params_name):
+        params = request.getfixturevalue(params_name)
+        rng = random.Random(25)
+        pk, sk = keygen(params, rng)
+        p = params.p
+        ct = encrypt_with_rng(pk, random_subgroup_element(params, rng), rng)
         # A secret key no keygen makes: with a non-member u1 the exponent
         # x1 + y1 * alpha stays unreduced and negative, so mod_exp raises
         # inside the unwrap.
         bad = CsSecretKey(x1=-(p**3), x2=sk.x2, y1=sk.y1, y2=sk.y2, z=sk.z)
         with pytest.raises(ParameterError):
-            decrypt(bad, params_256, CsCiphertext(p - 1, ct.u2, ct.e, ct.v))
-        gc.collect()
-        assert len(built) == 2
-        assert all(gc.get_referrers(table) == [built] for table in built)  # only this test holds them
+            decrypt(bad, params, CsCiphertext(p - 1, ct.u2, ct.e, ct.v))
 
-    def test_two_threads_unwrap_at_once(self, params_256, monkeypatch):
+    def test_two_threads_unwrap_at_once(self, params_1024, monkeypatch):
         rng = random.Random(26)
-        pk, sk = keygen(params_256, rng)
-        messages = [random_subgroup_element(params_256, rng) for _ in range(2)]
+        pk, sk = keygen(params_1024, rng)
+        messages = [random_subgroup_element(params_1024, rng) for _ in range(2)]
         cts = [encrypt_with_rng(pk, m, rng) for m in messages]
-        both_in_scope = threading.Barrier(2, timeout=10)
-        table_pows = collections.Counter()
-        table_pow = groups._table_pow
+        both_in_kernel = threading.Barrier(2, timeout=10)
+        kernel_calls = collections.Counter()
+        kernel = groups._openssl_pow
 
-        def counted_table_pow(*args):
-            both_in_scope.wait()  # each raise of a u1 waits until the other thread raises its own
-            table_pows[threading.get_ident()] += 1
-            return table_pow(*args)
+        def counted_kernel(*args):
+            both_in_kernel.wait()  # each exponentiation waits until the other thread starts its own
+            kernel_calls[threading.get_ident()] += 1
+            return kernel(*args)
 
-        monkeypatch.setattr(groups, "_table_pow", counted_table_pow)
+        monkeypatch.setattr(groups, "_openssl_pow", counted_kernel)
         results = [None, None]
 
         def unwrap(i):
-            results[i] = decrypt(sk, params_256, cts[i])
+            results[i] = decrypt(sk, params_1024, cts[i])
 
         threads = [threading.Thread(target=unwrap, args=(i,)) for i in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert results == messages
-        assert sorted(table_pows.values()) == [2, 2]
+        assert sorted(kernel_calls.values()) == [3, 3]
 
 
 class TestHashToScalar:

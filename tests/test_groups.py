@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tftps import cramer_shoup, groups
 from tftps.groups import (
@@ -99,37 +101,49 @@ class TestModExp:
 
 
 
-class TestFixedBaseTables:
-    @pytest.mark.parametrize("params_name", ["desk_params", "params_256", "params_1024"])
-    def test_registered_bases_match_pow(self, request, params_name, pow_calls):
+class TestOpensslKernel:
+    @pytest.mark.parametrize(
+        "bits, odd, kernel",
+        [
+            (511, True, False),
+            (512, True, True),
+            (4096, True, True),
+            (10_000, True, True),
+            (10_001, True, False),
+            (1024, False, False),
+        ],
+    )
+    def test_the_kernel_takes_exactly_the_odd_moduli_of_512_to_10000_bits(
+        self, bits, odd, kernel, pow_calls, kernel_calls
+    ):
+        rng = random.Random(bits)
+        modulus = rng.getrandbits(bits) | 1 << (bits - 1)
+        modulus = modulus | 1 if odd else modulus & ~1
+        cases = [(rng.randrange(modulus), rng.getrandbits(512)) for _ in range(3)]
+        for base, exponent in cases:
+            assert mod_exp(base, exponent, modulus) == pow(base, exponent, modulus)
+        assert (len(kernel_calls), len(pow_calls)) == ((3, 0) if kernel else (0, 3))
+
+    @pytest.mark.parametrize("params_name", ["params_1024", "params_2048"])
+    def test_hostile_bases_and_exponents_match_pow(self, request, params_name, kernel_calls):
         params = request.getfixturevalue(params_name)
         p, q = params.p, params.q
-        rng = random.Random(14)
-        pk, _ = cramer_shoup.keygen(params, rng)
-        tables = cramer_shoup.precompute(pk).tables
-        table_bits = 5 * len(tables[params.g1])
-        assert table_bits >= p.bit_length()
-        exponents = [0, 1, 31, 32, q - 1, q, p - 2, (1 << table_bits) - 1, (1 << table_bits) + 3]
-        exponents += [rng.randrange(p) for _ in range(20)]
-        pow_calls.clear()  # keygen's
-        for base, table in tables.items():
+        non_residue = next(t for t in range(2, p) if jacobi_symbol(t, p) == -1)
+        bases = [0, 1, p - 1, p + 3, non_residue, params.g1]
+        exponents = [0, 1, q, 2 * q, p, p * p]
+        for base in bases:
             for exponent in exponents:
-                assert mod_exp(base, exponent, p, table) == pow(base, exponent, p), (base, exponent)
-        # Only exponents longer than the table fall back to pow.
-        longer = [e for e in exponents if e.bit_length() > table_bits]
-        assert [args[1] for args in pow_calls] == longer * len(tables)
-        pow_calls.clear()
-        assert mod_exp(params.g1, q - 1, p) == pow(params.g1, q - 1, p) and len(pow_calls) == 1  # no table given
+                assert mod_exp(base, exponent, p) == pow(base, exponent, p), (base, exponent)
+        assert len(kernel_calls) == len(bases) * len(exponents)
 
-    def test_a_registered_base_builds_no_second_table(self, params_256, monkeypatch):
-        builds = []
-        build = groups.fixed_base_table
-        monkeypatch.setattr(cramer_shoup, "fixed_base_table", lambda *args: builds.append(args) or build(*args))
-        pk, _ = cramer_shoup.keygen(params_256, random.Random(15))
-        precomputed = cramer_shoup.precompute(pk)
-        assert len(builds) == len(precomputed.tables) == len({params_256.g1, params_256.g2, pk.h, pk.c, pk.d})
-        assert cramer_shoup.precompute(precomputed) is precomputed
-        assert len(builds) == len(precomputed.tables) and pk.tables == {}
+    @settings(max_examples=60, deadline=None)
+    @given(
+        modulus=st.integers(min_value=1 << 511, max_value=(1 << 1100) - 1).map(lambda m: m | 1),
+        base=st.integers(),
+        exponent=st.integers(min_value=0, max_value=1 << 2200),
+    )
+    def test_any_odd_modulus_of_512_to_1100_bits_matches_pow(self, modulus, base, exponent):
+        assert mod_exp(base, exponent, modulus) == pow(base, exponent, modulus)
 
 
 class TestElementOrder:

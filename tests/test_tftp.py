@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tftps import arq, cramer_shoup, groups, records, tftp
+from tftps import arq, cramer_shoup, fixed_time, records, tftp
 from tftps.cramer_shoup import keygen
 from tftps.groups import ParameterError
 from tftps.packets import (
@@ -190,29 +190,15 @@ class TestKeyStore:
         pk, sk = keypair_1024
         entry = KeyStore().add(pk, sk)
         material, chunks = key_exchange_send(entry.public, random.Random(2))
-        assert pow_calls == []  # g1, g2, h, c and d all take a table
+        assert pow_calls == []  # g1, g2, h, c and d all go to the kernel
         assert key_exchange_receive(chunks, sk, pk.params).enc_key == material[:32]
 
-    def test_a_key_outside_every_keystore_wraps_with_pow(self, keypair_1024, pow_calls):
-        pk, sk = keypair_1024
-        KeyStore().add(pk, sk)  # an equal key, with tables, in some store
-        pow_calls.clear()
-        material, chunks = key_exchange_send(pk, random.Random(2))
-        assert len(pow_calls) == 5
-        assert key_exchange_receive(chunks, sk, pk.params).enc_key == material[:32]
-
-    def test_re_adding_a_key_builds_no_table(self, keypair_1024, monkeypatch):
-        builds = []
-        build = groups.fixed_base_table
-        monkeypatch.setattr(cramer_shoup, "fixed_base_table", lambda *args: builds.append(args) or build(*args))
+    def test_re_adding_a_key_without_its_secret_keeps_the_secret_entry(self, keypair_1024):
         pk, sk = keypair_1024
         store = KeyStore()
         entry = store.add(pk, sk)
-        assert len(builds) == 5  # g1, g2, h, c and d
-        assert store.add(pk, sk).public is entry.public
-        assert store.add(pk).public is entry.public
-        KeyStore().add(entry.public)  # a key that brings its tables
-        assert len(builds) == 5
+        assert store.add(pk) is entry
+        assert store.get(entry.kid).secret == sk
 
 
 class TestEndToEnd:
@@ -327,6 +313,20 @@ class TestEndToEnd:
                 server.warm_up()
             budget_ms = server._budget_cache[entry.kid].budget_ns / 1e6
         assert f"fixed-time decrypt budget for key {entry.kid}: {budget_ms:.1f} ms" in caplog.text
+
+    def test_the_decrypt_budget_adds_a_fixed_allowance_to_its_calibration(self, keystore, monkeypatch):
+        _, entry = keystore
+        calibrated = []
+        calibrate = fixed_time.calibrate
+
+        def recorded_calibrate(*args, **kwargs):
+            calibrated.append(calibrate(*args, **kwargs))
+            return calibrated[-1]
+
+        monkeypatch.setattr(fixed_time, "calibrate", recorded_calibrate)
+        budget = tftp.calibrate_decrypt_budget(entry)
+        assert budget.budget_ns == calibrated[0].budget_ns + 20_000_000
+        assert (budget.samples, budget.safety_factor) == (30, 1.5)
 
 
 class TestFailureModes:
